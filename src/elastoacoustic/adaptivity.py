@@ -4,23 +4,25 @@ Marking uses the maximum strategy: refine every triangle whose indicator
 reaches the fraction theta of the largest one.  Across refinements the
 tracked eigenmode is identified by the largest mass-weighted overlap with
 the previous eigenvector interpolated onto the new mesh, falling back to
-the nearest frequency when overlaps are ambiguous.
+the nearest frequency when overlaps are ambiguous.  The bisected meshes
+are nested, so the previous mode is transferred through the bisection
+parent map (``Mesh.parent``): each new dof point is evaluated in the
+ancestor of a new cell that holds it, without any point-location search.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import elements as el
-from .assembly import build_block_system, build_spaces
+from .assembly import build_block_system
 from .config import RunConfig
 from .eigensolve import EigenPair
 from .estimator import estimate_mode
-from .meshing import Mesh, FLUID, bisect, build_cavity_mesh, validate
+from .meshing import Mesh, bisect, build_cavity_mesh, validate
 from .study import StudyError, solve_window
 
 
@@ -85,62 +87,47 @@ class AdaptiveHistory:
 
 
 # ----------------------------------------------------------------------
-# interpolation between meshes (for mode tracking)
+# interpolation between nested meshes (for mode tracking)
 # ----------------------------------------------------------------------
 
-class _PointLocator:
-    """Bucket-grid point location with barycentric membership tests."""
-
-    def __init__(self, mesh: Mesh, tris=None):
-        self.mesh = mesh
-        self.tris = np.arange(mesh.num_triangles, dtype=np.int64) \
-            if tris is None else np.asarray(tris, dtype=np.int64)
-        coords = mesh.tri_coords(self.tris)
-        self.geo = el.tri_geometry(mesh, self.tris)
-        lo = coords.min(axis=(0, 1))
-        hi = coords.max(axis=(0, 1))
-        self.lo = lo
-        n = max(1, int(np.sqrt(len(self.tris) / 2)))
-        self.nb = n
-        self.h = np.maximum((hi - lo) / n, 1e-300)
-        self.buckets = {}
-        bmin = np.floor((coords.min(axis=1) - lo) / self.h).astype(int)
-        bmax = np.floor((coords.max(axis=1) - lo) / self.h).astype(int)
-        for k in range(len(self.tris)):
-            for bx in range(max(bmin[k, 0], 0),
-                            min(bmax[k, 0], n - 1) + 1):
-                for by in range(max(bmin[k, 1], 0),
-                                min(bmax[k, 1], n - 1) + 1):
-                    self.buckets.setdefault((bx, by), []).append(k)
-
-    def locate(self, pts, eps=1e-10):
-        """Positions (into self.tris) and barycentric coords per point."""
-        pts = np.asarray(pts, float)
-        out_k = np.full(len(pts), -1, dtype=np.int64)
-        out_b = np.zeros((len(pts), 3))
-        cell = np.floor((pts - self.lo) / self.h).astype(int)
-        cell = np.clip(cell, 0, self.nb - 1)
-        for i, p in enumerate(pts):
-            best_k, best_b, best_m = -1, None, -np.inf
-            for k in self.buckets.get((cell[i, 0], cell[i, 1]), ()):
-                rel = p - self.geo.coords[k, 0]
-                xi = self.geo.inv_jac[k] @ rel
-                lam = np.array([1.0 - xi[0] - xi[1], xi[0], xi[1]])
-                m = lam.min()
-                if m > best_m:
-                    best_k, best_b, best_m = k, lam, m
-                if m >= -eps:
-                    break
-            if best_k < 0 or best_m < -1e-6:
-                raise AdaptivityError("point location failed; meshes are "
-                                      "not nested")
-            out_k[i] = best_k
-            out_b[i] = np.clip(best_b, 0.0, 1.0)
-        return out_k, out_b
+def _dof_cells(dofmap, dofs):
+    """Position (into dofmap.tris) of one cell holding each given dof."""
+    holder = np.empty(dofmap.ndof, dtype=np.int64)
+    holder[dofmap.cell2dof] = np.arange(len(dofmap.tris))[:, None]
+    return holder[dofs]
 
 
-def _eval_scalar_field(mesh, dofmap, coeffs, locator, pts):
-    k, bary = locator.locate(pts)
+def _dof_points(mesh: Mesh, dofmap, dofs):
+    """Vertex or edge-midpoint location of each given Lagrange dof."""
+    ids = dofmap.entity_id[dofs]
+    on_edge = dofmap.entity[dofs] == 1
+    pts = np.empty((len(dofs), 2))
+    pts[~on_edge] = mesh.vertices[ids[~on_edge]]
+    pts[on_edge] = mesh.vertices[mesh.edges[ids[on_edge]]].mean(axis=1)
+    return pts
+
+
+def _locate(old_mesh: Mesh, old_map, new_mesh: Mesh, new_map, cells, pts):
+    """Ancestors of the new cells ``cells`` (positions into old_map.tris)
+    and the barycentric coordinates there of the points pts (n, m, 2),
+    which lie in those new cells."""
+    if new_mesh.parent is None:
+        raise AdaptivityError("meshes are not nested")
+    parent = new_mesh.parent[new_map.tris[cells]]
+    # ancestors outside the old subdomain (or the old mesh) map to -1
+    pos = np.full(max(old_mesh.num_triangles, parent.max(initial=-1) + 1),
+                  -1, dtype=np.int64)
+    pos[old_map.tris] = np.arange(len(old_map.tris))
+    k = pos[parent]
+    if np.any(k < 0):
+        raise AdaptivityError("meshes are not nested")
+    bary = el.barycentric(el.tri_geometry(old_mesh, old_map.tris[k]), pts)
+    if bary.min(initial=0.0) < -1e-6:
+        raise AdaptivityError("meshes are not nested")
+    return k, np.clip(bary, 0.0, 1.0)
+
+
+def _eval_scalar_field(dofmap, coeffs, k, bary):
     val, _, _ = el.scalar_basis_at(dofmap.kind, bary)
     c = coeffs[dofmap.cell2dof[k]]
     if dofmap.kind.vector:
@@ -149,82 +136,64 @@ def _eval_scalar_field(mesh, dofmap, coeffs, locator, pts):
     return np.einsum("ns,ns->n", val, c)
 
 
-def _eval_fluid_field(mesh, dofmap, coeffs, locator, bdm_coeff, geo, pts):
-    k, _ = locator.locate(pts)
-    cpts = (pts - geo.centroid[k])[:, None, :]
-    vals, _ = el.bdm_eval(bdm_coeff[k], cpts)
-    return np.einsum("nqjc,nj->nc", vals, coeffs[dofmap.cell2dof[k]])[:, :]
-
-
 def interpolate_mode(old_mesh: Mesh, old_spaces, mode: EigenPair,
                      new_mesh: Mesh, new_spaces):
-    """Nodal/moment interpolation of an eigenpair onto a refined mesh."""
-    solid_loc = _PointLocator(old_mesh, old_spaces.u_map.tris) \
-        if len(old_spaces.u_map.tris) else None
+    """Nodal/moment interpolation of an eigenpair onto a mesh bisected
+    from old_mesh.
+
+    Every new dof point is evaluated in the ancestor, through
+    ``new_mesh.parent``, of one new cell that holds the dof.
+    """
     u_new = np.zeros(new_spaces.u_map.ndof)
     p_new = np.zeros(new_spaces.p_map.ndof)
-    if solid_loc is not None:
+    if len(old_spaces.u_map.tris):
+        # vertex and (Taylor-Hood) edge-midpoint dofs; bubbles stay zero
         umap = new_spaces.u_map
-        sel = umap.entity == 0
-        scalar = (umap.component == 0) & sel
-        vids = umap.entity_id[scalar]
-        pts = new_mesh.vertices[vids]
-        vals = _eval_scalar_field(old_mesh, old_spaces.u_map, mode.u,
-                                  solid_loc, pts)
-        dofs = np.flatnonzero(scalar)
+        dofs = np.flatnonzero((umap.entity < 2) & (umap.component == 0))
+        k, bary = _locate(old_mesh, old_spaces.u_map, new_mesh, umap,
+                          _dof_cells(umap, dofs),
+                          _dof_points(new_mesh, umap, dofs)[:, None])
+        vals = _eval_scalar_field(old_spaces.u_map, mode.u, k, bary[:, 0])
         u_new[dofs] = vals[:, 0]
         u_new[dofs + 1] = vals[:, 1]
-        if new_spaces.family == "taylor-hood":
-            emid = (umap.entity == 1) & (umap.component == 0)
-            eids = umap.entity_id[emid]
-            mids = new_mesh.vertices[new_mesh.edges[eids]].mean(axis=1)
-            vals = _eval_scalar_field(old_mesh, old_spaces.u_map, mode.u,
-                                      solid_loc, mids)
-            dofs = np.flatnonzero(emid)
-            u_new[dofs] = vals[:, 0]
-            u_new[dofs + 1] = vals[:, 1]
         pmap = new_spaces.p_map
-        vids = pmap.entity_id[pmap.entity == 0]
-        p_new[:] = _eval_scalar_field(old_mesh, old_spaces.p_map, mode.p,
-                                      solid_loc, new_mesh.vertices[vids])
+        dofs = np.arange(pmap.ndof)
+        k, bary = _locate(old_mesh, old_spaces.p_map, new_mesh, pmap,
+                          _dof_cells(pmap, dofs),
+                          _dof_points(new_mesh, pmap, dofs)[:, None])
+        p_new[:] = _eval_scalar_field(old_spaces.p_map, mode.p, k,
+                                      bary[:, 0])
     w_new = np.zeros(new_spaces.w_map.ndof)
     if len(old_spaces.w_map.tris):
-        fluid_loc = _PointLocator(old_mesh, old_spaces.w_map.tris)
-        bdm_coeff, geo = el.bdm_cell_coefficients(old_mesh,
-                                                  old_spaces.w_map)
+        # both normal moments of every new fluid edge from 3 Gauss points
         wmap = new_spaces.w_map
-        eids = np.unique(new_mesh.tri_edges[wmap.tris])
+        dofs = np.arange(0, wmap.ndof, 2)
+        eids = wmap.entity_id[dofs]
         a = new_mesh.vertices[new_mesh.edges[eids, 0]]
-        b = new_mesh.vertices[new_mesh.edges[eids, 1]]
-        tang = b - a
+        tang = new_mesh.vertices[new_mesh.edges[eids, 1]] - a
         nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
         nrm /= np.linalg.norm(nrm, axis=1)[:, None]
         tq, wq = el.edge_gauss(3)
-        zeta = np.stack([np.ones_like(tq), el.SQRT3 * (2.0 * tq - 1.0)])
-        for q, (t, wgt) in enumerate(zip(tq, wq)):
-            # nudge quadrature points off old edges before location
-            pts = a + t * tang
-            wv = _eval_fluid_field(old_mesh, old_spaces.w_map, mode.w,
-                                   fluid_loc, bdm_coeff, geo, pts)
-            wn = np.einsum("ec,ec->e", wv, nrm)
-            w_new[0::2] += wgt * zeta[0, q] * wn
-            w_new[1::2] += wgt * zeta[1, q] * wn
-    x = new_spaces.layout.gather(u_new, w_new, p_new)
-    return x
+        pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
+        k, _ = _locate(old_mesh, old_spaces.w_map, new_mesh, wmap,
+                       _dof_cells(wmap, dofs), pts)
+        bdm_coeff, geo = el.bdm_cell_coefficients(old_mesh,
+                                                  old_spaces.w_map)
+        vals, _ = el.bdm_eval(bdm_coeff[k], pts - geo.centroid[k, None])
+        wv = np.einsum("nqjc,nj->nqc", vals,
+                       mode.w[old_spaces.w_map.cell2dof[k]])
+        wn = np.einsum("nqc,nc->nq", wv, nrm)
+        w_new[0::2] = wn @ wq
+        w_new[1::2] = wn @ (wq * el.SQRT3 * (2.0 * tq - 1.0))
+    return new_spaces.layout.gather(u_new, w_new, p_new)
 
 
 def track_mode(prev_mesh, prev_spaces, prev_mode, mesh, spaces, system,
                candidates, history: AdaptiveHistory, nearest_omega):
     """Pick the candidate maximizing the B-weighted overlap with the
     previous mode; fall back to nearest omega on ambiguity."""
-    try:
-        x_interp = interpolate_mode(prev_mesh, prev_spaces, prev_mode,
-                                    mesh, spaces)
-    except AdaptivityError as err:
-        history.warnings.append(f"interpolation failed ({err}); using "
-                                "nearest-frequency tracking")
-        return min(candidates,
-                   key=lambda p: abs(p.omega - nearest_omega))
+    x_interp = interpolate_mode(prev_mesh, prev_spaces, prev_mode, mesh,
+                                spaces)
     Bx = system.B @ x_interp
     norm_i = np.sqrt(max(x_interp @ Bx, 1e-300))
     overlaps = np.array([abs(p.x @ Bx) /
@@ -277,10 +246,8 @@ def adaptive_solve(config: RunConfig, mode_index: int = None,
         system = build_block_system(mesh, config.family, mats,
                                     config.assembly_degree)
         spaces = system.spaces
-        pairs, _ = solve_window(system, config.window,
-                                n_modes_hint=4 * max(config.n_modes,
-                                                     mode_index),
-                                shift=config.shift, seed=config.seed)
+        pairs, _ = solve_window(system, config.window, shift=config.shift,
+                                seed=config.seed)
         if len(pairs) < mode_index:
             raise StudyError(f"adaptive iteration {iteration}: only "
                              f"{len(pairs)} modes in window")

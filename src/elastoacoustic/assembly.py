@@ -16,7 +16,7 @@ constraint couples solid and fluid normal traces through edge moments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

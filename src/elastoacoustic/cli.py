@@ -24,7 +24,6 @@ from . import __version__
 from .adaptivity import adaptive_solve
 from .assembly import build_block_system
 from .config import RunConfig, load_config
-from .eigensolve import filter_modes
 from .estimator import estimate_mode
 from .meshing import (build_cavity_mesh, bisect, validate, write_mesh,
                       read_mesh)
@@ -115,9 +114,8 @@ def cmd_solve(args) -> int:
     mesh = build_cavity_mesh(cfg.geometry_spec(), args.level)
     system = build_block_system(mesh, cfg.family, cfg.materials(),
                                 cfg.assembly_degree)
-    pairs, full = solve_window(system, cfg.window,
-                               n_modes_hint=4 * cfg.n_modes,
-                               shift=cfg.shift, seed=cfg.seed)
+    pairs, full = solve_window(system, cfg.window, shift=cfg.shift,
+                               seed=cfg.seed)
     pairs = pairs[:cfg.n_modes]
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w") as f:

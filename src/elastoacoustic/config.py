@@ -8,7 +8,7 @@ ELASTOACOUSTIC_OUTDIR environment variable sets the output root.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import meshing
 from .assembly import MaterialField, FAMILIES

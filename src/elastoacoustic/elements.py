@@ -59,13 +59,6 @@ def scalar_local_size(kind: ElementKind) -> int:
     return 3 * kind.n_vertex + 3 * kind.n_edge + kind.n_cell
 
 
-def local_size(kind: ElementKind) -> int:
-    n = scalar_local_size(kind)
-    if kind is BDM1:
-        return 6
-    return 2 * n if kind.vector else n
-
-
 # ----------------------------------------------------------------------
 # scalar reference bases
 # ----------------------------------------------------------------------
@@ -383,10 +376,6 @@ class DofMap:
     entity_id: np.ndarray
     component: np.ndarray
 
-    def scalar_count(self) -> int:
-        return self.ndof // 2 if (self.kind.vector or self.kind is BDM1) \
-            else self.ndof
-
 
 def build_dofmap(mesh: Mesh, kind: ElementKind, subdomain) -> DofMap:
     """Deterministic global numbering: vertices (ascending id), then edges,
@@ -501,6 +490,15 @@ def tri_geometry(mesh: Mesh, tris) -> TriGeometry:
 def physical_points(geo: TriGeometry, bary: np.ndarray) -> np.ndarray:
     """(nt, nq, 2) images of barycentric points on each triangle."""
     return np.einsum("qk,tkc->tqc", np.asarray(bary, float), geo.coords)
+
+
+def barycentric(geo: TriGeometry, pts) -> np.ndarray:
+    """Barycentric coordinates (nt, nq, 3) of physical points (nt, nq, 2)
+    on the triangles of geo (row-aligned): xi = B^-1 (x - v0)."""
+    rel = pts - geo.coords[:, None, 0, :]
+    xi = np.einsum("tdc,tmc->tmd", geo.inv_jac, rel)
+    lam0 = 1.0 - xi[..., 0] - xi[..., 1]
+    return np.stack([lam0, xi[..., 0], xi[..., 1]], axis=-1)
 
 
 def scalar_tables(kind: ElementKind, geo: TriGeometry, bary: np.ndarray,

@@ -29,8 +29,8 @@ import numpy as np
 from . import elements as el
 from .assembly import MaterialField, Spaces
 from .eigensolve import EigenPair
-from .meshing import (Mesh, SOLID, FLUID, INTERIOR, GAMMA_D, GAMMA_N,
-                      GAMMA_0, INTERFACE)
+from .meshing import (Mesh, SOLID, FLUID, INTERIOR, GAMMA_N, GAMMA_0,
+                      INTERFACE)
 
 DEFAULT_DEGREE = 5
 DEFAULT_EDGE_POINTS = 3
@@ -184,12 +184,6 @@ class MuProjection:
             return np.repeat(self.coeff, len(bary), axis=1)
         return np.einsum("tk,qk->tq", self.coeff, bary)
 
-    def at_per_entity(self, bary) -> np.ndarray:
-        """(n, nq) values at per-entity barycentric points (n, nq, 3)."""
-        if self.degree == 0:
-            return np.broadcast_to(self.coeff, bary.shape[:2]).copy()
-        return np.einsum("tk,tqk->tq", self.coeff, bary)
-
 
 def project_mu(mesh: Mesh, tris, materials: MaterialField,
                degree: int = DEFAULT_PROJECTION,
@@ -318,15 +312,6 @@ def _edge_frames(mesh, edges):
     return a, tang, nrm, length
 
 
-def _bary_on_tri(geo: el.TriGeometry, pts):
-    """Barycentric coordinates of physical points (n, m, 2) on the
-    triangles of geo (row-aligned): xi = B^-1 (x - v0)."""
-    rel = pts - geo.coords[:, None, 0, :]
-    xi = np.einsum("tdc,tmc->tmd", geo.inv_jac, rel)
-    lam0 = 1.0 - xi[..., 0] - xi[..., 1]
-    return np.stack([lam0, xi[..., 0], xi[..., 1]], axis=-1)
-
-
 def _solid_stress_trace(mesh, spaces, mode, materials, proj, edges, side,
                         tq):
     """(2 mu_h eps(u) - p I) n at edge quadrature points, from one side."""
@@ -336,7 +321,7 @@ def _solid_stress_trace(mesh, spaces, mode, materials, proj, edges, side,
     a, tang, nrm, length = _edge_frames(mesh, edges)
     pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
     geo = el.tri_geometry(mesh, spaces.u_map.tris[k])
-    bary = _bary_on_tri(geo, pts)
+    bary = el.barycentric(geo, pts)
     flat = bary.reshape(-1, 3)
     nq = len(tq)
     val, gref, _ = el.scalar_basis_at(spaces.u_map.kind, flat)

@@ -8,7 +8,6 @@ repeated bisection stays shape regular.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,9 @@ class Mesh:
     edge_tag    (ne,)   INTERIOR / GAMMA_D / GAMMA_N / GAMMA_0 / INTERFACE
     edge_tris   (ne, 2) adjacent triangle ids, -1 for missing neighbor
     tri_edges   (nt, 3) global edge id of each local edge
+    parent      (nt,)   id of the triangle of the input mesh of ``bisect``
+                        that contains each triangle; None for meshes that
+                        were built or read from a file
     """
 
     vertices: np.ndarray
@@ -63,9 +65,10 @@ class Mesh:
     edge_tag: np.ndarray = field(init=False)
     edge_tris: np.ndarray = field(init=False)
     tri_edges: np.ndarray = field(init=False)
+    parent: np.ndarray = field(init=False)
 
     def __init__(self, vertices, triangles, tri_tag, tri_refedge=None,
-                 edge_tags=None):
+                 edge_tags=None, parent=None):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         triangles = np.ascontiguousarray(triangles, dtype=np.int32)
         tri_tag = np.ascontiguousarray(tri_tag, dtype=np.int8)
@@ -88,6 +91,10 @@ class Mesh:
                 if t is not None:
                     tag[i] = t
         object.__setattr__(self, "edge_tag", tag)
+        if parent is not None:
+            parent = np.ascontiguousarray(parent, dtype=np.int64)
+            parent.setflags(write=False)
+        object.__setattr__(self, "parent", parent)
         for arr in (self.vertices, self.triangles, self.tri_tag,
                     self.tri_refedge, self.edges, self.edge_tag,
                     self.edge_tris, self.tri_edges):
@@ -129,14 +136,6 @@ class Mesh:
         e = self.edges if ids is None else self.edges[ids]
         return np.linalg.norm(self.vertices[e[:, 1]] - self.vertices[e[:, 0]],
                               axis=1)
-
-    def edge_normals(self, ids=None) -> np.ndarray:
-        """Unit normals under the global convention: rotate the tangent
-        (low vertex id -> high vertex id) clockwise by 90 degrees."""
-        e = self.edges if ids is None else self.edges[ids]
-        t = self.vertices[e[:, 1]] - self.vertices[e[:, 0]]
-        t = t / np.linalg.norm(t, axis=1)[:, None]
-        return np.column_stack([t[:, 1], -t[:, 0]])
 
     def subdomain_tris(self, tag) -> np.ndarray:
         return np.flatnonzero(self.tri_tag == tag).astype(np.int32)
@@ -532,7 +531,8 @@ def bisect(mesh: Mesh, marked) -> Mesh:
 
     Deterministic: marked ids are processed in sorted order and new
     vertices are numbered in creation order.  Subdomain and boundary tags
-    are inherited by the children.
+    are inherited by the children, and the returned mesh's ``parent``
+    maps each triangle to the input triangle that contains it.
     """
     marked = sorted(int(t) for t in set(marked))
     if marked and (marked[0] < 0 or marked[-1] >= mesh.num_triangles):
@@ -542,6 +542,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     tri_v = [tuple(t) for t in mesh.triangles]
     tri_tag = list(mesh.tri_tag)
     tri_ref = list(mesh.tri_refedge)
+    tri_origin = list(range(len(tri_v)))
     alive = [True] * len(tri_v)
     edge_tag = {}
     for (a, b), t in zip(mesh.edges, mesh.edge_tag):
@@ -602,6 +603,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
             tri_v.append(child)
             tri_tag.append(tri_tag[tid])
             tri_ref.append(ref)
+            tri_origin.append(tri_origin[tid])
             alive.append(True)
             register(cid)
         return len(tri_v) - 2, len(tri_v) - 1
@@ -632,13 +634,9 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     new_tris = np.asarray([tri_v[i] for i in keep], dtype=np.int32)
     new_tags = np.asarray([tri_tag[i] for i in keep], dtype=np.int8)
     new_refs = np.asarray([tri_ref[i] for i in keep], dtype=np.int8)
-    return Mesh(np.asarray(verts), new_tris, new_tags, new_refs, edge_tag)
-
-
-def uniform_refine(mesh: Mesh, times: int = 1) -> Mesh:
-    for _ in range(times):
-        mesh = bisect(mesh, range(mesh.num_triangles))
-    return mesh
+    parent = np.asarray([tri_origin[i] for i in keep], dtype=np.int64)
+    return Mesh(np.asarray(verts), new_tris, new_tags, new_refs, edge_tag,
+                parent)
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,13 @@ nothing inside was missed.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .assembly import MaterialField, build_block_system
+from .assembly import build_block_system
 from .config import RunConfig
 from .eigensolve import (SpectrumReport, solve_pencil, filter_modes,
                          EigenSolveError, KERNEL_TOL)
@@ -31,8 +30,8 @@ class StudyError(Exception):
 RESIDUAL_TOL = 1e-7
 
 
-def solve_window(system, omega_window, n_modes_hint=8, shift=None,
-                 tol=1e-12, seed=20260808, kernel_tol=KERNEL_TOL,
+def solve_window(system, omega_window, shift=None, tol=1e-12,
+                 seed=20260808, kernel_tol=KERNEL_TOL,
                  residual_tol=RESIDUAL_TOL, k_cap=128):
     """Physical eigenpairs with omega inside the window, ascending.
 
@@ -272,9 +271,8 @@ def _solve_level(config: RunConfig, N: int, nu=None):
     mesh = build_cavity_mesh(config.geometry_spec(), N)
     system = build_block_system(mesh, config.family, mats,
                                 config.assembly_degree)
-    pairs, _ = solve_window(system, config.window,
-                            n_modes_hint=4 * config.n_modes,
-                            shift=config.shift, seed=config.seed)
+    pairs, _ = solve_window(system, config.window, shift=config.shift,
+                            seed=config.seed)
     if len(pairs) < config.n_modes:
         raise StudyError(
             f"level N={N}: only {len(pairs)} physical modes in the window "

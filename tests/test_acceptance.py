@@ -107,7 +107,7 @@ class TestCriterion3OracleEquivalence:
         assert sys_.n <= 2000
         oracle = dense_oracle(sys_)
         # six lowest eigenvalues of the targeted elasto-acoustic branch
-        pairs, _ = solve_window(sys_, (150.0, 12000.0), n_modes_hint=10)
+        pairs, _ = solve_window(sys_, (150.0, 12000.0))
         pairs = pairs[:6]
         worst = 0.0
         for p in pairs:
@@ -153,7 +153,7 @@ class TestCriterion5SpuriousFree:
             mesh = msh.build_cavity_mesh(cfg.geometry_spec(), N)
             sys_ = build_block_system(mesh, "taylor-hood",
                                       cfg.materials())
-            pairs, _ = solve_window(sys_, WINDOW, n_modes_hint=16)
+            pairs, _ = solve_window(sys_, WINDOW)
             counts.append(len(pairs))
         report("5 (spurious-free window count)",
                counts == [4, 4, 4, 4], f"counts {counts}")
@@ -164,7 +164,7 @@ class TestCriterion6EstimatorInvariants:
         from dataclasses import replace
         mesh = msh.build_cavity_mesh(msh.omega1(), 2)
         sys_ = build_block_system(mesh, "taylor-hood", materials)
-        pairs, _ = solve_window(sys_, WINDOW, n_modes_hint=8)
+        pairs, _ = solve_window(sys_, WINDOW)
         mode = pairs[0]
 
         eta2, theta2, ind = estimate_mode(mesh, sys_.spaces, mode,

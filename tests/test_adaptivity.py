@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
+from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
 from elastoacoustic.adaptivity import (AdaptivityError, AdaptiveHistory,
                                        adaptive_solve, effectivity,
                                        interpolate_mode, mark)
 from elastoacoustic.assembly import build_block_system, build_spaces
 from elastoacoustic.config import RunConfig
+from elastoacoustic.eigensolve import EigenPair
 from elastoacoustic.study import solve_window
 
 
@@ -78,17 +81,66 @@ class TestHistory:
         assert "1.25" in text
 
 
+def _linear_mode(mesh, spaces):
+    """A mode made of a linear u and p (bubbles zero) and a constant w,
+    each interpolated on the given spaces."""
+
+    def nodes(dofmap):
+        ids = dofmap.entity_id
+        pts = np.zeros((dofmap.ndof, 2))
+        on_vertex, on_edge = dofmap.entity == 0, dofmap.entity == 1
+        pts[on_vertex] = mesh.vertices[ids[on_vertex]]
+        pts[on_edge] = mesh.vertices[mesh.edges[ids[on_edge]]].mean(axis=1)
+        return pts
+
+    umap = spaces.u_map
+    x = nodes(umap)
+    u = np.where(umap.component == 0, 1.0 + 2.0 * x[:, 0] - x[:, 1],
+                 0.5 - x[:, 0] + 3.0 * x[:, 1])
+    u[umap.entity == 2] = 0.0
+    x = nodes(spaces.p_map)
+    p = 2.0 - 3.0 * x[:, 0] + x[:, 1]
+    w = el.bdm_interpolate(mesh, lambda pts: np.tile([0.3, -0.7],
+                                                     (len(pts), 1)))
+    return EigenPair(1.0, 1.0, u, w, p, spaces.layout.gather(u, w, p), 0.0)
+
+
 class TestInterpolation:
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    def test_linear_mode_reproduced_on_bisected_mesh(self, family):
+        # refine a bisected mesh, so that the closure bisects children
+        # again, as in the adaptive loop
+        rng = np.random.default_rng(4)
+
+        def refine(m):
+            return msh.bisect(m, rng.choice(m.num_triangles,
+                                            size=m.num_triangles // 3,
+                                            replace=False))
+
+        mesh = refine(msh.build_cavity_mesh(msh.omega1(), 2))
+        fine = refine(mesh)
+        old, new = build_spaces(mesh, family), build_spaces(fine, family)
+        x = interpolate_mode(mesh, old, _linear_mode(mesh, old), fine, new)
+        assert_allclose(x, _linear_mode(fine, new).x, rtol=0.0, atol=1e-12)
+
+    def test_non_nested_meshes_raise(self):
+        mesh = msh.build_cavity_mesh(msh.omega1(), 1)
+        other = msh.build_cavity_mesh(msh.omega1(), 2)
+        old = build_spaces(mesh, "mini")
+        with pytest.raises(AdaptivityError, match="not nested"):
+            interpolate_mode(mesh, old, _linear_mode(mesh, old), other,
+                             build_spaces(other, "mini"))
+
     def test_mode_transfer_separates_doublet(self, materials):
         # the lowest two modes are the in-phase/anti-phase wall pair;
         # interpolated overlaps must identify each branch cleanly even
         # though the coarse frequencies shift a lot under refinement
         mesh = msh.build_cavity_mesh(msh.omega1(), 2)
         sys_ = build_block_system(mesh, "mini", materials)
-        pairs, _ = solve_window(sys_, (400.0, 2800.0), n_modes_hint=8)
+        pairs, _ = solve_window(sys_, (400.0, 2800.0))
         fine = msh.bisect(mesh, range(mesh.num_triangles))
         sys_f = build_block_system(fine, "mini", materials)
-        pairs_f, _ = solve_window(sys_f, (400.0, 2800.0), n_modes_hint=8)
+        pairs_f, _ = solve_window(sys_f, (400.0, 2800.0))
         B = sys_f.B
         picks = []
         for mode in pairs[:2]:
@@ -144,7 +196,7 @@ class TestAdaptiveLoop:
         frac = None
         for _ in range(8):
             sys_ = build_block_system(mesh, "mini", mats)
-            pairs, _ = solve_window(sys_, cfg.window, n_modes_hint=8)
+            pairs, _ = solve_window(sys_, cfg.window)
             _, _, ind = estimate_mode(mesh, sys_.spaces, pairs[0], mats)
             totals = ind.element_totals(mesh)
             marked = mark_op(np.sqrt(np.maximum(totals, 0)), 0.5)

@@ -149,7 +149,7 @@ class TestOracle:
 
         # elasto-acoustic branch: full 1e-8 agreement
         elastic = phys[phys > 1e4]
-        pairs, _ = solve_window(sys_, (150.0, 6000.0), n_modes_hint=10)
+        pairs, _ = solve_window(sys_, (150.0, 6000.0))
         assert len(pairs) >= 3
         hit = set()
         for p in pairs[:6]:
@@ -228,19 +228,17 @@ class TestFilterModes:
 
 class TestWindowedDrivers:
     def test_window_selection(self, coupled_system_th):
-        pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0),
-                                  n_modes_hint=10)
+        pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0))
         omegas = np.array([p.omega for p in pairs])
         assert (omegas > 400).all() and (omegas < 2800).all()
         assert (np.diff(omegas) > 0).all()
         assert len(pairs) == 4
 
-    def test_no_spurious_in_window_released(self, coupled_system_th):
-        # running with a larger hint does not change the window content
+    def test_window_content_seed_invariant(self, coupled_system_th):
+        # the Lanczos start vector changes the rungs, not the window content
         p1, _ = solve_window(coupled_system_th, (400.0, 2800.0),
-                             n_modes_hint=8)
-        p2, _ = solve_window(coupled_system_th, (400.0, 2800.0),
-                             n_modes_hint=24)
+                             seed=20260808)
+        p2, _ = solve_window(coupled_system_th, (400.0, 2800.0), seed=1)
         k1 = np.array([p.kappa for p in p1])
         k2 = np.array([p.kappa for p in p2])
         assert len(k1) == len(k2)

@@ -25,7 +25,7 @@ def make_mode(spaces, kappa, u=None, w=None, p=None):
 @pytest.fixture(scope="module")
 def th_mode(omega1_n2, materials):
     sys_ = build_block_system(omega1_n2, "taylor-hood", materials)
-    pairs, _ = solve_window(sys_, (400.0, 2800.0), n_modes_hint=8)
+    pairs, _ = solve_window(sys_, (400.0, 2800.0))
     return omega1_n2, sys_.spaces, pairs[0]
 
 
@@ -190,8 +190,7 @@ class TestInterface:
         for N in (2, 4):
             mesh = msh.build_cavity_mesh(msh.omega1(), N)
             sys_ = build_block_system(mesh, "taylor-hood", materials)
-            pairs, _ = solve_window(sys_, (400.0, 2800.0),
-                                    n_modes_hint=8)
+            pairs, _ = solve_window(sys_, (400.0, 2800.0))
             part = est.interface_indicators(mesh, sys_.spaces, pairs[0],
                                             materials)
             assert (part.eta2_E_I > 0).any()
@@ -260,7 +259,7 @@ class TestAggregation:
             E=lambda x: 1.44e11 * (1.0 + 0.2 * x[:, 0]
                                    + 0.1 * x[:, 1] ** 2), nu=0.35)
         sys_ = build_block_system(omega1_n2, "taylor-hood", mats)
-        pairs, _ = solve_window(sys_, (400.0, 2800.0), n_modes_hint=8)
+        pairs, _ = solve_window(sys_, (400.0, 2800.0))
         mode = pairs[0]
         e5 = est.estimate_mode(omega1_n2, sys_.spaces, mode, mats,
                                quad_degree=5)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
 from elastoacoustic.meshing import (SOLID, FLUID, GAMMA_D, GAMMA_N,
                                     GAMMA_0, INTERFACE, INTERIOR,
@@ -101,6 +102,10 @@ class TestBisect:
         out = msh.bisect(unit_square_mesh, [0])
         assert out.num_triangles in (4, 5)
         assert msh.validate(out).ok
+        assert unit_square_mesh.parent is None
+        # the closure splits the neighbor across the shared diagonal
+        assert set(out.parent.tolist()) == {0, 1}
+        assert not out.parent.flags.writeable
 
     def test_uniform_bisection_halves_areas(self, omega1_n2):
         m = omega1_n2
@@ -108,6 +113,8 @@ class TestBisect:
         assert out.num_triangles == 2 * m.num_triangles
         assert np.allclose(np.sort(out.areas()),
                            np.sort(np.repeat(m.areas(), 2) / 2))
+        assert (np.bincount(out.parent) == 2).all()
+        assert np.allclose(out.areas(), m.areas(out.parent) / 2)
 
     def test_subdomain_area_preserved_exactly(self, omega2_n4):
         m = omega2_n4
@@ -118,6 +125,13 @@ class TestBisect:
             before = m.areas(m.subdomain_tris(tag)).sum()
             after = out.areas(out.subdomain_tris(tag)).sum()
             assert after == pytest.approx(before, abs=1e-14)
+        # the parent map: ids in range, tags inherited, areas partitioned
+        assert out.parent.min() >= 0
+        assert out.parent.max() < m.num_triangles
+        assert np.array_equal(out.tri_tag, m.tri_tag[out.parent])
+        child_area = np.bincount(out.parent, weights=out.areas(),
+                                 minlength=m.num_triangles)
+        assert np.allclose(child_area, m.areas(), rtol=1e-13, atol=0.0)
 
     def test_interface_refinement_keeps_conformity(self, omega1_n2):
         # two passes over interface-adjacent triangles halve every
@@ -143,12 +157,21 @@ class TestBisect:
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.edge_tag, b.edge_tag)
+        assert np.array_equal(a.parent, b.parent)
 
-    def test_children_inside_parent(self, unit_square_mesh):
+    def test_children_inside_parent(self, unit_square_mesh, omega2_n4):
         out = msh.bisect(unit_square_mesh, [0])
         # all child vertices lie in the closed unit square
         assert out.vertices.min() >= -1e-15
         assert out.vertices.max() <= 1 + 1e-15
+        # every child centroid lies strictly inside its parent
+        marked = np.random.default_rng(5).choice(omega2_n4.num_triangles,
+                                                 size=60, replace=False)
+        for m, out in ((unit_square_mesh, out),
+                       (omega2_n4, msh.bisect(omega2_n4, marked))):
+            geo = el.tri_geometry(m, out.parent)
+            bary = el.barycentric(geo, out.tri_coords().mean(axis=1)[:, None])
+            assert bary.min() > 0.0
 
     def test_bad_ids_raise(self, unit_square_mesh):
         with pytest.raises(MeshError):
@@ -161,7 +184,13 @@ class TestBisect:
             marked = rng.choice(m.num_triangles,
                                 size=max(4, m.num_triangles // 10),
                                 replace=False)
-            m = msh.bisect(m, marked)
+            out = msh.bisect(m, marked)
+            # closure on a bisected mesh splits children again; each
+            # descendant still maps to its ancestor in the input mesh
+            child_area = np.bincount(out.parent, weights=out.areas(),
+                                     minlength=m.num_triangles)
+            assert np.allclose(child_area, m.areas(), rtol=1e-13, atol=0.0)
+            m = out
         assert msh.validate(m).ok
         p = m.tri_coords()
         l0 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
@@ -213,6 +242,7 @@ class TestIO:
         assert np.array_equal(back.tri_tag, omega1_n2.tri_tag)
         assert np.array_equal(back.edge_tag, omega1_n2.edge_tag)
         assert np.array_equal(back.tri_refedge, omega1_n2.tri_refedge)
+        assert back.parent is None
 
     def test_gmsh_import(self, tmp_path):
         text = """$MeshFormat

@@ -63,7 +63,7 @@ def parse_vtk(path):
 def mode_setup(materials):
     mesh = msh.build_cavity_mesh(msh.omega1(), 1)
     sys_ = build_block_system(mesh, "taylor-hood", materials)
-    pairs, _ = solve_window(sys_, (400.0, 2800.0), n_modes_hint=8)
+    pairs, _ = solve_window(sys_, (400.0, 2800.0))
     return mesh, sys_, pairs[0]
 
 
