@@ -89,21 +89,13 @@ def nullspace_basis(system: BlockSystem) -> sp.csr_matrix:
         keep = np.setdiff1d(np.arange(n), elim)
         kpos = np.full(n, -1, dtype=np.int64)
         kpos[keep] = np.arange(len(keep))
-        rows, cols, vals = [], [], []
-        rows.append(keep)
-        cols.append(np.arange(len(keep)))
-        vals.append(np.ones(len(keep)))
         Cc = C.tocoo()
-        for r, c, v in zip(Cc.row, Cc.col, Cc.data):
-            if c == elim[r]:
-                continue
-            # row: sum_c v_c x_c - x_elim = 0  ->  x_elim = sum v_c x_c
-            rows.append(np.array([elim[r]]))
-            cols.append(np.array([kpos[c]]))
-            vals.append(np.array([v]))
-        Z = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, len(keep)))
+        # row: sum_c v_c x_c - x_elim = 0  ->  x_elim = sum v_c x_c
+        off = Cc.col != elim[Cc.row]
+        rows = np.concatenate([keep, elim[Cc.row[off]]])
+        cols = np.concatenate([np.arange(len(keep)), kpos[Cc.col[off]]])
+        vals = np.concatenate([np.ones(len(keep)), Cc.data[off]])
+        Z = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(keep)))
         return Z.tocsr()
     if n > ORACLE_CAP:
         raise EigenSolveError("generic constraint elimination needs the "

@@ -1,9 +1,13 @@
 """Conforming triangulations of coupled solid/fluid vessel geometries.
 
 The mesh carries per-triangle subdomain tags (solid or fluid) and per-edge
-boundary tags.  Refinement is newest-vertex bisection with conformity
-closure; the refinement edge of every generated triangle is tracked so that
-repeated bisection stays shape regular.
+boundary tags; its edges are numbered in the order of the integer keys
+``lo * nv + hi`` of their sorted vertex pairs.  Refinement is newest-vertex
+bisection by edge marking: the refinement edges of the marked triangles are
+marked, the marking is closed over the triangles that touch a marked edge,
+and every marked edge is split once, which keeps the mesh conforming.  The
+refinement edge of every generated triangle is tracked so that repeated
+bisection stays shape regular.
 """
 
 from __future__ import annotations
@@ -79,17 +83,16 @@ class Mesh:
             tri_refedge = _longest_edge_refedges(vertices, triangles)
         object.__setattr__(self, "tri_refedge",
                            np.ascontiguousarray(tri_refedge, dtype=np.int8))
-        edges, edge_tris, tri_edges = _build_edge_topology(triangles)
+        nv = len(vertices)
+        keys, edge_tris, tri_edges = _build_edge_topology(triangles, nv)
+        edges = np.column_stack([keys // nv, keys % nv]).astype(np.int32)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "edge_tris", edge_tris)
         object.__setattr__(self, "tri_edges", tri_edges)
         tag = np.zeros(len(edges), dtype=np.int8)
         if edge_tags:
-            keys = {(int(a), int(b)): t for (a, b), t in edge_tags.items()}
-            for i, (a, b) in enumerate(edges):
-                t = keys.get((int(a), int(b)))
-                if t is not None:
-                    tag[i] = t
+            ids = _edge_ids(keys, nv, list(edge_tags))
+            tag[ids] = list(edge_tags.values())
         object.__setattr__(self, "edge_tag", tag)
         if parent is not None:
             parent = np.ascontiguousarray(parent, dtype=np.int64)
@@ -147,29 +150,46 @@ class Mesh:
         return float(self.tri_diameters().max())
 
 
-def _build_edge_topology(triangles):
+def _build_edge_topology(triangles, nv):
+    """Edges as sorted 1-D keys ``lo * nv + hi``, which order them like
+    the lexicographically sorted vertex pairs."""
     nt = len(triangles)
     loc = np.empty((nt, 3, 2), dtype=np.int64)
     # local edge i is opposite local vertex i
     loc[:, 0] = triangles[:, [1, 2]]
     loc[:, 1] = triangles[:, [2, 0]]
     loc[:, 2] = triangles[:, [0, 1]]
-    flat = np.sort(loc.reshape(-1, 2), axis=1)
-    edges, inv = np.unique(flat, axis=0, return_inverse=True)
+    flat = loc.reshape(-1, 2)
+    keys, inv = np.unique(flat.min(axis=1) * nv + flat.max(axis=1),
+                          return_inverse=True)
     tri_edges = inv.reshape(nt, 3).astype(np.int32)
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int32)
+    edge_tris = np.full((len(keys), 2), -1, dtype=np.int32)
     order = np.argsort(tri_edges.ravel(), kind="stable")
     tids = (order // 3).astype(np.int32)
     eids = tri_edges.ravel()[order]
-    starts = np.searchsorted(eids, np.arange(len(edges)))
-    ends = np.searchsorted(eids, np.arange(len(edges)), side="right")
+    starts = np.searchsorted(eids, np.arange(len(keys)))
+    ends = np.searchsorted(eids, np.arange(len(keys)), side="right")
     counts = ends - starts
     if counts.max(initial=0) > 2:
         raise MeshError("an edge is shared by more than two triangles")
     edge_tris[:, 0] = tids[starts]
     two = counts == 2
     edge_tris[two, 1] = tids[ends[two] - 1]
-    return edges.astype(np.int32), edge_tris, tri_edges
+    return keys, edge_tris, tri_edges
+
+
+def _edge_ids(keys, nv, pairs):
+    """Edge ids of vertex pairs given in either order; a pair that is not
+    an edge of the mesh raises MeshError."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    wanted = lo * nv + hi
+    bad = (lo < 0) | (hi >= nv) | ~np.isin(wanted, keys)
+    if bad.any():
+        a, b = pairs[np.argmax(bad)]
+        raise MeshError(f"edge tag on ({a}, {b}), which is not an edge "
+                        "of the mesh")
+    return np.searchsorted(keys, wanted)
 
 
 def _longest_edge_refedges(vertices, triangles):
@@ -529,114 +549,81 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     """Bisect every marked triangle across its refinement edge, adding
     closure bisections so the result is conforming.
 
-    Deterministic: marked ids are processed in sorted order and new
-    vertices are numbered in creation order.  Subdomain and boundary tags
-    are inherited by the children, and the returned mesh's ``parent``
-    maps each triangle to the input triangle that contains it.
+    The refinement edges of the marked triangles are marked, and the
+    marking is closed: every triangle with a marked edge gets its
+    refinement edge marked, until nothing changes.  Each marked edge is
+    split once.  A split triangle ``(vi, vj, vk)`` with refinement edge
+    ``(vj, vk)`` has the children ``(vi, vj, m)`` and ``(vi, m, vk)``,
+    whose refinement edges ``(vi, vj)`` and ``(vk, vi)`` are its other two
+    edges, so a second pass splits every child whose refinement edge is
+    marked.
+
+    Deterministic and independent of the order of ``marked``: new
+    vertices are numbered by the id of the edge they split; the
+    triangles that are not split come first, in input order, then the
+    children that are not split again, then the children of the second
+    pass.  Subdomain and boundary tags are inherited by the children
+    (each half of a split edge keeps its tag), and the returned mesh's
+    ``parent`` maps each triangle to the input triangle that contains it.
     """
-    marked = sorted(int(t) for t in set(marked))
-    if marked and (marked[0] < 0 or marked[-1] >= mesh.num_triangles):
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    if marked.size and (marked[0] < 0 or marked[-1] >= mesh.num_triangles):
         raise MeshError("marked ids out of range")
 
-    verts = [tuple(v) for v in mesh.vertices]
-    tri_v = [tuple(t) for t in mesh.triangles]
-    tri_tag = list(mesh.tri_tag)
-    tri_ref = list(mesh.tri_refedge)
-    tri_origin = list(range(len(tri_v)))
-    alive = [True] * len(tri_v)
-    edge_tag = {}
-    for (a, b), t in zip(mesh.edges, mesh.edge_tag):
-        if t != INTERIOR:
-            edge_tag[(int(a), int(b))] = int(t)
+    ids = np.arange(mesh.num_triangles)
+    ref = mesh.tri_refedge
+    tri_edges = mesh.tri_edges
+    ref_edge = tri_edges[ids, ref]
+    split = np.zeros(mesh.num_edges, dtype=bool)
+    split[ref_edge[marked]] = True
+    while True:
+        grow = split[tri_edges].any(axis=1) & ~split[ref_edge]
+        if not grow.any():
+            break
+        split[ref_edge[grow]] = True
 
-    # map sorted edge key -> list of alive triangle ids containing it
-    edge_tris: dict = {}
+    split_ids = np.flatnonzero(split)
+    mid = np.full(mesh.num_edges, -1, dtype=np.int64)
+    mid[split_ids] = mesh.num_vertices + np.arange(len(split_ids))
+    a, b = mesh.edges[split_ids].T
+    vertices = np.concatenate(
+        [mesh.vertices, (mesh.vertices[a] + mesh.vertices[b]) / 2.0])
 
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
+    def halve(tris, ref, edge):
+        """Children of ``tris`` across refinement edges ``edge``."""
+        k = np.arange(len(tris))
+        vi, vj, vk = (tris[k, (ref + i) % 3] for i in range(3))
+        m = mid[edge]
+        children = np.stack([vi, vj, m, vi, m, vk], axis=1).reshape(-1, 3)
+        return children, np.tile(np.array([2, 1], dtype=np.int8), len(tris))
 
-    def register(tid):
-        v = tri_v[tid]
-        for i in range(3):
-            k = key(v[(i + 1) % 3], v[(i + 2) % 3])
-            edge_tris.setdefault(k, []).append(tid)
+    # first pass: input triangles whose refinement edge is split
+    s1 = split[ref_edge]
+    tris1, ref1 = halve(mesh.triangles[s1], ref[s1], ref_edge[s1])
+    parent1 = np.repeat(ids[s1], 2)
+    # the children's refinement edges: the edge opposite vk, then vj
+    edge1 = np.stack([tri_edges[s1, (ref[s1] + 2) % 3],
+                      tri_edges[s1, (ref[s1] + 1) % 3]], axis=1).ravel()
+    # second pass: children whose refinement edge is split
+    s2 = split[edge1]
+    tris2, ref2 = halve(tris1[s2], ref1[s2], edge1[s2])
+    parent2 = np.repeat(parent1[s2], 2)
 
-    def unregister(tid):
-        v = tri_v[tid]
-        for i in range(3):
-            k = key(v[(i + 1) % 3], v[(i + 2) % 3])
-            edge_tris[k].remove(tid)
+    parent = np.concatenate([ids[~s1], parent1[~s2], parent2])
+    triangles = np.concatenate([mesh.triangles[~s1], tris1[~s2], tris2])
+    refedges = np.concatenate([ref[~s1], ref1[~s2], ref2])
 
-    for tid in range(len(tri_v)):
-        register(tid)
-
-    midpoint: dict = {}
-
-    def get_midpoint(k):
-        m = midpoint.get(k)
-        if m is None:
-            a, b = k
-            m = len(verts)
-            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
-                          (verts[a][1] + verts[b][1]) / 2.0))
-            midpoint[k] = m
-            t = edge_tag.pop(k, None)
-            if t is not None:
-                edge_tag[key(a, m)] = t
-                edge_tag[key(m, b)] = t
-        return m
-
-    def refedge_key(tid):
-        v = tri_v[tid]
-        r = tri_ref[tid]
-        return key(v[(r + 1) % 3], v[(r + 2) % 3])
-
-    def split(tid, m):
-        """Replace tid by its two children across its refinement edge."""
-        v = tri_v[tid]
-        r = tri_ref[tid]
-        vi, vj, vk = v[r], v[(r + 1) % 3], v[(r + 2) % 3]
-        unregister(tid)
-        alive[tid] = False
-        for child, ref in (((vi, vj, m), 2), ((vi, m, vk), 1)):
-            cid = len(tri_v)
-            tri_v.append(child)
-            tri_tag.append(tri_tag[tid])
-            tri_ref.append(ref)
-            tri_origin.append(tri_origin[tid])
-            alive.append(True)
-            register(cid)
-        return len(tri_v) - 2, len(tri_v) - 1
-
-    def bisect_tri(tid, depth=0):
-        if depth > len(tri_v) + mesh.num_triangles:
-            raise MeshError("bisection closure does not terminate; "
-                            "initial refinement edges are incompatible")
-        k = refedge_key(tid)
-        others = [t for t in edge_tris.get(k, ()) if t != tid]
-        if others:
-            nb = others[0]
-            if refedge_key(nb) != k:
-                bisect_tri(nb, depth + 1)
-                others = [t for t in edge_tris.get(k, ()) if t != tid]
-                nb = others[0]
-            m = get_midpoint(k)
-            split(nb, m)
-            split(tid, m)
-        else:
-            split(tid, get_midpoint(k))
-
-    for tid in marked:
-        if alive[tid]:
-            bisect_tri(tid)
-
-    keep = [i for i, a in enumerate(alive) if a]
-    new_tris = np.asarray([tri_v[i] for i in keep], dtype=np.int32)
-    new_tags = np.asarray([tri_tag[i] for i in keep], dtype=np.int8)
-    new_refs = np.asarray([tri_ref[i] for i in keep], dtype=np.int8)
-    parent = np.asarray([tri_origin[i] for i in keep], dtype=np.int64)
-    return Mesh(np.asarray(verts), new_tris, new_tags, new_refs, edge_tag,
-                parent)
+    # both halves of a split edge keep its tag
+    tagged = np.flatnonzero(mesh.edge_tag != INTERIOR)
+    lo, hi = mesh.edges[tagged].T
+    m = mid[tagged]
+    cut = m >= 0
+    pairs = np.concatenate([np.stack([lo, np.where(cut, m, hi)], axis=1),
+                            np.stack([m[cut], hi[cut]], axis=1)])
+    tags = mesh.edge_tag[np.concatenate([tagged, tagged[cut]])]
+    edge_tags = dict(zip(map(tuple, pairs.tolist()), tags.tolist()))
+    return Mesh(vertices, triangles, mesh.tri_tag[parent], refedges,
+                edge_tags, parent)
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,8 @@ class TestBuild:
 class TestBisect:
     def test_single_mark_with_closure(self, unit_square_mesh):
         out = msh.bisect(unit_square_mesh, [0])
-        assert out.num_triangles in (4, 5)
+        # the shared diagonal is the refinement edge of both triangles
+        assert out.num_triangles == 4
         assert msh.validate(out).ok
         assert unit_square_mesh.parent is None
         # the closure splits the neighbor across the shared diagonal
@@ -158,6 +159,12 @@ class TestBisect:
         assert np.array_equal(a.triangles, b.triangles)
         assert np.array_equal(a.edge_tag, b.edge_tag)
         assert np.array_equal(a.parent, b.parent)
+        # the order of the marked ids and repeated ids do not matter
+        shuffled = np.concatenate([rng.permutation(marked), marked[:5]])
+        c = msh.bisect(omega1_n2, shuffled.tolist())
+        for name in ("vertices", "triangles", "tri_refedge", "edge_tag",
+                     "parent"):
+            assert np.array_equal(getattr(a, name), getattr(c, name))
 
     def test_children_inside_parent(self, unit_square_mesh, omega2_n4):
         out = msh.bisect(unit_square_mesh, [0])
@@ -190,6 +197,16 @@ class TestBisect:
             child_area = np.bincount(out.parent, weights=out.areas(),
                                      minlength=m.num_triangles)
             assert np.allclose(child_area, m.areas(), rtol=1e-13, atol=0.0)
+            # marked triangles are split; one with one child is unchanged
+            counts = np.bincount(out.parent, minlength=m.num_triangles)
+            assert (counts[marked] >= 2).all()
+            same = np.flatnonzero(counts[out.parent] == 1)
+            old = out.parent[same]
+            assert np.array_equal(out.tri_coords(same), m.tri_coords(old))
+            k = np.arange(len(same))
+            assert np.array_equal(
+                out.tri_coords(same)[k, out.tri_refedge[same]],
+                m.tri_coords(old)[k, m.tri_refedge[old]])
             m = out
         assert msh.validate(m).ok
         p = m.tri_coords()
@@ -226,6 +243,19 @@ class TestValidate:
         report = msh.validate(bad)
         assert not report.ok
         assert any("gamma_d" in name for name, _ in report.failures())
+
+    def test_edge_tag_keys(self, unit_square_mesh):
+        # a tag key may list its vertices in either order; a pair that is
+        # not an edge raises
+        m = unit_square_mesh
+        tagged = msh.Mesh(m.vertices, m.triangles, m.tri_tag, m.tri_refedge,
+                          edge_tags={(1, 0): GAMMA_0})
+        edge = np.flatnonzero((tagged.edges == (0, 1)).all(axis=1))
+        assert tagged.edge_tag[edge].tolist() == [GAMMA_0]
+        assert np.count_nonzero(tagged.edge_tag) == 1
+        with pytest.raises(MeshError, match="not an edge"):
+            msh.Mesh(m.vertices, m.triangles, m.tri_tag, m.tri_refedge,
+                     edge_tags={(1, 2): GAMMA_D})
 
     def test_report_is_printable(self, omega1_n2):
         text = str(msh.validate(omega1_n2))
