@@ -92,7 +92,14 @@ class Mesh:
         tag = np.zeros(len(edges), dtype=np.int8)
         if edge_tags:
             ids = _edge_ids(keys, nv, list(edge_tags))
-            tag[ids] = list(edge_tags.values())
+            values = np.fromiter(edge_tags.values(), dtype=np.int8,
+                                 count=len(edge_tags))
+            tag[ids] = values
+            # repeated ids keep the last value; any other one conflicts
+            clash = tag[ids] != values
+            if clash.any():
+                a, b = edges[ids[np.argmax(clash)]]
+                raise MeshError(f"conflicting tags on edge ({a}, {b})")
         object.__setattr__(self, "edge_tag", tag)
         if parent is not None:
             parent = np.ascontiguousarray(parent, dtype=np.int64)

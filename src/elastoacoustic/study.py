@@ -1,11 +1,13 @@
 """Uniform convergence studies, rate fitting and eigenvalue extrapolation.
 
-The windowed spectral driver walks the shift-invert solver until the
-requested frequency window is certifiably covered: with the shift at the
-window center, every eigenvalue inside the window is strictly closer to
-the shift than the near-zero kernel/sloshing cluster, so encountering
-that cluster (below) and a mode beyond the upper edge certifies that
-nothing inside was missed.
+The windowed spectral solve covers the requested frequency window with
+shift-invert rungs.  A rung at shift sigma that returns all of its k
+nearest pairs proves that no eigenvalue lies strictly inside
+(sigma - d, sigma + d), d the distance of the farthest returned pair
+(the spectral transformation argument of Ericsson & Ruhe, 1980).  The
+parts of the window not yet proved are kept as a list of open gaps,
+and each rung solves at the midpoint of the widest one until none is
+left.
 """
 
 from __future__ import annotations
@@ -27,13 +29,29 @@ class StudyError(Exception):
     pass
 
 
-RESIDUAL_TOL = 1e-7
+LANCZOS_TOL = 1e-12
+RESIDUAL_TOL = 1e-7       # in-window pairs
+K_CAP = 128               # largest rung
+SAME_KAPPA = 1e-8         # relative distance below which two kappa are one
+SIGMA0 = 1.0              # first shift of lowest_physical
+SIGMA_CAP = 1e14          # lowest_physical gives up at this shift
+LOWEST_RESIDUAL_TOL = 1e-6  # pairs of lowest_physical
 
 
-def solve_window(system, omega_window, shift=None, tol=1e-12,
-                 seed=20260808, kernel_tol=KERNEL_TOL,
-                 residual_tol=RESIDUAL_TOL, k_cap=128):
+def solve_window(system, omega_window, shift=None, seed=20260808):
     """Physical eigenpairs with omega inside the window, ascending.
+
+    The window (k_lo, k_hi) in kappa = omega^2 starts as one open gap
+    with rung size k = 2.  Each rung solves for the k pairs nearest the
+    midpoint of the widest gap (the first rung at ``shift`` if given).
+    A rung returning all k pairs removes (sigma - d, sigma + d) from
+    every open gap, d the distance of its farthest pair; the pieces left
+    start again at k = 2.  A rung returning fewer doubles k on its gap.
+    Pieces no wider than SAME_KAPPA times their upper end are dropped:
+    below that width two kappa are the same eigenvalue, which is also
+    how pairs found by several rungs are merged.  A full rung at the
+    midpoint leaves at most half of its gap, so the loop ends; a gap
+    still open at k = K_CAP raises StudyError.
 
     Returns (pairs_in_window, full_filtered_report).
     """
@@ -41,92 +59,66 @@ def solve_window(system, omega_window, shift=None, tol=1e-12,
     if not 0 <= w_lo < w_hi:
         raise StudyError("invalid frequency window")
     k_lo, k_hi = w_lo ** 2, w_hi ** 2
+    k_max = min(K_CAP, system.n - 2)
     collected = {}
     notes, requested = (), 0
-    shift_used = shift if shift is not None else 0.5 * (k_lo + k_hi)
 
-    # Interval covering: a solve returning k pairs certifies that no
-    # eigenvalue was missed strictly inside (sigma - d, sigma + d) with
-    # d the distance of the farthest returned pair.  Rungs target the
-    # largest uncovered gap; keeping k minimal per rung avoids dragging
-    # the expensive near-zero sloshing cluster into the Krylov space.
-    certified = []
-    attempts = {}
-
-    def merge_intervals():
-        out = []
-        for lo, hi in sorted(certified):
-            if out and lo <= out[-1][1] * (1 + 1e-12):
-                out[-1] = (out[-1][0], max(out[-1][1], hi))
-            else:
-                out.append((lo, hi))
-        return out
-
-    def gaps():
-        out = []
-        cur = k_lo
-        for lo, hi in merge_intervals():
-            if hi <= cur:
-                continue
-            if lo > cur * (1 + 1e-12) and cur < k_hi:
-                out.append((cur, min(lo, k_hi)))
-            cur = max(cur, hi)
-            if cur >= k_hi:
-                break
-        if cur < k_hi:
-            out.append((cur, k_hi))
-        return out
-
-    for _ in range(24):
-        open_gaps = gaps()
-        if not open_gaps:
-            break
+    # Keeping k minimal per rung avoids dragging the expensive near-zero
+    # sloshing cluster into the Krylov space.
+    open_gaps = [(k_lo, k_hi, 2)]
+    while open_gaps:
         gap = max(open_gaps, key=lambda g: g[1] - g[0])
-        center = 0.5 * (gap[0] + gap[1]) if shift is None else shift
+        lo, hi, k = gap
+        center = 0.5 * (lo + hi) if shift is None else shift
         shift = None
-        key = round(np.log10(max(center, 1e-30)) * 200)
-        k = min(2 * 2 ** attempts.get(key, 0),
-                min(k_cap, system.n - 2))
-        attempts[key] = attempts.get(key, 0) + 1
-        report = solve_pencil(system, sigma=center, n_modes=k, tol=tol,
-                              seed=seed)
-        shift_used, notes = report.shift, notes + report.notes
+        report = solve_pencil(system, sigma=center, n_modes=k,
+                              tol=LANCZOS_TOL, seed=seed)
+        notes = notes + report.notes
         requested = max(requested, k)
         for p in report.pairs:
             for kk in list(collected):
-                if abs(kk - p.kappa) <= 1e-8 * max(abs(kk), abs(p.kappa)):
+                if abs(kk - p.kappa) <= SAME_KAPPA * max(abs(kk),
+                                                         abs(p.kappa)):
                     if p.residual < collected[kk].residual:
                         collected.pop(kk)
                         collected[p.kappa] = p
                     break
             else:
                 collected[p.kappa] = p
-        if len(report.pairs):
-            d_far = max(abs(p.kappa - center) for p in report.pairs)
-            if len(report.pairs) == report.requested:
-                certified.append((center - d_far, center + d_far))
-            else:
-                # partial convergence certifies nothing beyond the pairs
-                certified.append((center, center))
-        if k >= min(k_cap, system.n - 2):
-            break
+        if len(report.pairs) < k:
+            if k >= k_max:
+                raise StudyError(
+                    f"gap ({np.sqrt(lo):.6g}, {np.sqrt(hi):.6g}) rad/s of "
+                    f"the window stays open: {len(report.pairs)} of {k} "
+                    f"pairs converged at shift {center:.6e}")
+            open_gaps[open_gaps.index(gap)] = (lo, hi, min(2 * k, k_max))
+            continue
+        d = max(abs(p.kappa - center) for p in report.pairs)
+        c_lo, c_hi = center - d, center + d
+        pieces = []
+        for g in open_gaps:
+            if g[1] <= c_lo or g[0] >= c_hi:
+                pieces.append(g)
+                continue
+            for a, b in ((g[0], min(g[1], c_lo)), (max(g[0], c_hi), g[1])):
+                if b - a > SAME_KAPPA * b:
+                    pieces.append((a, b, 2))
+        open_gaps = pieces
     merged = SpectrumReport(requested,
                             tuple(collected[kk] for kk in
                                   sorted(collected)),
-                            shift_used, notes=notes)
-    filtered = filter_modes(merged, kernel_tol)
+                            report.shift, notes=notes)
+    filtered = filter_modes(merged, KERNEL_TOL)
     pairs = [p for p in filtered.pairs
-             if k_lo <= p.kappa <= k_hi and p.residual <= residual_tol]
+             if k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL]
     pairs.sort(key=lambda p: p.kappa)
     return pairs, filtered
 
 
-def lowest_physical(system, n, sigma0=1.0, tol=1e-12, seed=20260808,
-                    kernel_tol=KERNEL_TOL, residual_tol=1e-6,
-                    sigma_cap=1e14):
+def lowest_physical(system, n, seed=20260808):
     """The n smallest physical (non-kernel) eigenpairs.
 
-    The shift climbs from sigma0 by factors of 8.  A solve certifies the
+    The shift climbs from SIGMA0 by factors of 8.  A solve certifies the
     range (0, 2 sigma): once a kernel-cluster member shows up among the
     returned pairs, everything strictly closer to the shift - in
     particular every physical eigenvalue below 2 sigma - has been
@@ -135,11 +127,11 @@ def lowest_physical(system, n, sigma0=1.0, tol=1e-12, seed=20260808,
     """
     k = max(2 * n + 4, 12)
     k = min(k, max(system.n - 2, 1))
-    sigma = float(sigma0)
+    sigma = SIGMA0
     candidates = {}
 
     def merge(report):
-        for p in filter_modes(report, kernel_tol).pairs:
+        for p in filter_modes(report, KERNEL_TOL).pairs:
             if p.residual > 1e-3:
                 # smeared kernel copies and unconverged directions
                 continue
@@ -153,10 +145,10 @@ def lowest_physical(system, n, sigma0=1.0, tol=1e-12, seed=20260808,
                 candidates[p.kappa] = p
 
     filtered = None
-    while sigma < sigma_cap:
-        report = solve_pencil(system, sigma=sigma, n_modes=k, tol=tol,
-                              seed=seed)
-        filtered = filter_modes(report, kernel_tol)
+    while sigma < SIGMA_CAP:
+        report = solve_pencil(system, sigma=sigma, n_modes=k,
+                              tol=LANCZOS_TOL, seed=seed)
+        filtered = filter_modes(report, KERNEL_TOL)
         merge(report)
         bag_contact = filtered.n_kernel >= 1
         kappas = report.kappas
@@ -169,20 +161,21 @@ def lowest_physical(system, n, sigma0=1.0, tol=1e-12, seed=20260808,
             # re-solving with the shift next to them
             for _ in range(6):
                 bad = [kk for kk in lowest
-                       if candidates[kk].residual > residual_tol]
+                       if candidates[kk].residual > LOWEST_RESIDUAL_TOL]
                 if not bad:
                     break
-                polish = bad[0] * 1.001 + 1e-6 * abs(sigma0)
+                polish = bad[0] * 1.001 + 1e-6 * SIGMA0
                 merge(solve_pencil(system, sigma=polish,
-                                   n_modes=min(6, k), tol=tol, seed=seed))
+                                   n_modes=min(6, k), tol=LANCZOS_TOL,
+                                   seed=seed))
                 lowest = [kk for kk in sorted(candidates)
                           if kk <= certified][:n]
             pairs = [candidates[kk] for kk in lowest]
-            if all(p.residual <= residual_tol for p in pairs):
+            if all(p.residual <= LOWEST_RESIDUAL_TOL for p in pairs):
                 return pairs, filtered
         sigma *= 8.0
     raise StudyError(f"could not certify the {n} lowest physical modes "
-                     f"below shift {sigma_cap:g}")
+                     f"below shift {SIGMA_CAP:g}")
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
+from elastoacoustic import study
 from elastoacoustic.assembly import (BlockSystem, MaterialField,
                                      build_block_system)
 from elastoacoustic.eigensolve import (EigenSolveError, SpectrumReport,
                                        dense_oracle, filter_modes,
                                        solve_pencil)
-from elastoacoustic.study import lowest_physical, solve_window
+from elastoacoustic.study import StudyError, lowest_physical, solve_window
 
 
 class TestSolvePencil:
@@ -138,7 +141,7 @@ class TestOracle:
         # gravity (sloshing) branch: kappa ~ 30 against a stiffness norm
         # of ~1e10 puts the double-precision floor of either method near
         # eps |A| / kappa ~ 1e-8, so the two paths agree to 5e-8 there
-        pairs, _ = lowest_physical(sys_, 6, residual_tol=1e-6)
+        pairs, _ = lowest_physical(sys_, 6)
         assert len(pairs) >= 6
         hit = set()
         for p in pairs[:6]:
@@ -243,6 +246,51 @@ class TestWindowedDrivers:
         k2 = np.array([p.kappa for p in p2])
         assert len(k1) == len(k2)
         assert_allclose(k1, k2, rtol=1e-9)
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    def test_wide_window_matches_oracle(self, omega1_n1, materials, family):
+        # a window holding 44 (MINI) or 46 (Taylor-Hood) eigenvalues is
+        # covered to the last one
+        sys_ = build_block_system(omega1_n1, family, materials)
+        k_lo, k_hi = 150.0 ** 2, 30000.0 ** 2
+        oracle = dense_oracle(sys_)
+        oracle = oracle[(oracle >= k_lo) & (oracle <= k_hi)]
+        pairs, _ = solve_window(sys_, (150.0, 30000.0))
+        assert len(pairs) == len(oracle)
+        assert_allclose([p.kappa for p in pairs], oracle, rtol=1e-8)
+
+    def test_open_gap_raises(self, coupled_system_th, monkeypatch):
+        calls = []
+
+        def nothing_converges(system, sigma, n_modes, **kw):
+            calls.append(n_modes)
+            return SpectrumReport(n_modes, (), sigma,
+                                  notes=("arpack converged only 0 pairs",))
+
+        monkeypatch.setattr(study, "solve_pencil", nothing_converges)
+        with pytest.raises(StudyError, match="stays open"):
+            solve_window(coupled_system_th, (400.0, 2800.0))
+        assert calls == [2, 4, 8, 16, 32, 64, 128]
+
+    def test_rung_count_seed_invariant(self, materials, monkeypatch):
+        # a rung between the window's lower end and a known eigenvalue
+        # certifies down to the end up to roundoff in that eigenvalue,
+        # which the start vector must not turn into an extra rung
+        mesh = msh.build_cavity_mesh(msh.omega2(), 2)
+        sys_ = build_block_system(mesh, "taylor-hood",
+                                  replace(materials, nu=0.49))
+        counts = []
+        for seed in (1, 20260808):
+            calls = []
+
+            def counted(*args, **kw):
+                calls.append(kw["n_modes"])
+                return solve_pencil(*args, **kw)
+
+            monkeypatch.setattr(study, "solve_pencil", counted)
+            solve_window(sys_, (400.0, 2800.0), seed=seed)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSpectrumCsv:

@@ -256,6 +256,15 @@ class TestValidate:
         with pytest.raises(MeshError, match="not an edge"):
             msh.Mesh(m.vertices, m.triangles, m.tri_tag, m.tri_refedge,
                      edge_tags={(1, 2): GAMMA_D})
+        # two keys naming one edge must agree on its tag
+        for tags in ({(0, 1): GAMMA_D, (1, 0): GAMMA_N},
+                     {(1, 0): GAMMA_N, (0, 1): GAMMA_D}):
+            with pytest.raises(MeshError, match="conflicting tags"):
+                msh.Mesh(m.vertices, m.triangles, m.tri_tag, m.tri_refedge,
+                         edge_tags=tags)
+        same = msh.Mesh(m.vertices, m.triangles, m.tri_tag, m.tri_refedge,
+                        edge_tags={(0, 1): GAMMA_D, (1, 0): GAMMA_D})
+        assert same.edge_tag[edge].tolist() == [GAMMA_D]
 
     def test_report_is_printable(self, omega1_n2):
         text = str(msh.validate(omega1_n2))
