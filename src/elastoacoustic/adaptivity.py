@@ -177,8 +177,7 @@ def interpolate_mode(old_mesh: Mesh, old_spaces, mode: EigenPair,
         pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
         k, _ = _locate(old_mesh, old_spaces.w_map, new_mesh, wmap,
                        _dof_cells(wmap, dofs), pts)
-        bdm_coeff, geo = el.bdm_cell_coefficients(old_mesh,
-                                                  old_spaces.w_map)
+        bdm_coeff, geo = old_spaces.bdm
         vals, _ = el.bdm_eval(bdm_coeff[k], pts - geo.centroid[k, None])
         wv = np.einsum("nqjc,nj->nqc", vals,
                        mode.w[old_spaces.w_map.cell2dof[k]])

@@ -11,20 +11,25 @@ The stiffness form collects
 and the mass form int rho_s u.v + int rho_f w.tau.  Dirichlet rows and
 columns (u on Gamma_D) are eliminated symmetrically; the interface
 constraint couples solid and fluid normal traces through edge moments.
+Each system reduces its constrained pencil once, on the basis W = D Z
+of ker C (``BlockSystem.pencil``).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import elements as el
 from .meshing import (Mesh, SOLID, FLUID, GAMMA_D, GAMMA_0, INTERFACE)
 
 FAMILIES = ("mini", "taylor-hood")
+ORACLE_CAP = 2000         # largest system reduced with dense algebra
 
 
 class AssemblyError(Exception):
@@ -168,6 +173,12 @@ class Spaces:
     def n_free(self) -> int:
         return self.layout.n_free
 
+    @functools.cached_property
+    def bdm(self):
+        """(coeff, geo) of ``el.bdm_cell_coefficients`` on the fluid
+        cells, computed once per space."""
+        return el.bdm_cell_coefficients(self.mesh, self.w_map)
+
 
 def build_spaces(mesh: Mesh, family: str) -> Spaces:
     if family not in FAMILIES:
@@ -280,7 +291,7 @@ def assemble_stiffness(mesh: Mesh, spaces: Spaces,
         _scatter(rows, cols, vals, App, pdofs, pdofs)
 
     if len(spaces.w_map.tris):
-        coeff, geo_f = el.bdm_cell_coefficients(mesh, spaces.w_map)
+        coeff, geo_f = spaces.bdm
         divs = coeff @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
         c2rf = materials.c ** 2 * materials.rho_f
         Kww = _symmetrize(c2rf * np.einsum("t,ti,tj->tij", geo_f.area, divs, divs))
@@ -345,7 +356,7 @@ def assemble_mass(mesh: Mesh, spaces: Spaces, materials: MaterialField,
         _scatter(rows, cols, vals, Muu, udofs, udofs)
 
     if len(spaces.w_map.tris):
-        coeff, geo_f = el.bdm_cell_coefficients(mesh, spaces.w_map)
+        coeff, geo_f = spaces.bdm
         q = el.quadrature(degree)
         pts = el.physical_points(geo_f, q.points)
         cpts = pts - geo_f.centroid[:, None, :]
@@ -448,6 +459,79 @@ def assemble_interface(mesh: Mesh, spaces: Spaces):
 
 
 # ----------------------------------------------------------------------
+# constraint reduction
+# ----------------------------------------------------------------------
+
+def nullspace_basis(system) -> sp.csr_matrix:
+    """Sparse basis Z of ker C with x = Z y.
+
+    When the system carries the assembled interface metadata, the fluid
+    moment dof of each row (coefficient exactly -1, see
+    ``assemble_interface``) is eliminated in favor of the solid trace
+    moments.  Otherwise a dense SVD null space is used (small systems).
+    """
+    n = system.n
+    C = system.C
+    if C is None or C.shape[0] == 0:
+        return sp.identity(n, format="csr")
+    if system.interface_wdofs is not None:
+        elim = np.asarray(system.interface_wdofs, dtype=np.int64)
+        keep = np.setdiff1d(np.arange(n), elim)
+        kpos = np.full(n, -1, dtype=np.int64)
+        kpos[keep] = np.arange(len(keep))
+        Cc = C.tocoo()
+        # row: sum_c v_c x_c - x_elim = 0  ->  x_elim = sum v_c x_c
+        off = Cc.col != elim[Cc.row]
+        rows = np.concatenate([keep, elim[Cc.row[off]]])
+        cols = np.concatenate([np.arange(len(keep)), kpos[Cc.col[off]]])
+        vals = np.concatenate([np.ones(len(keep)), Cc.data[off]])
+        Z = sp.coo_matrix((vals, (rows, cols)), shape=(n, len(keep)))
+        return Z.tocsr()
+    if n > ORACLE_CAP:
+        raise AssemblyError("generic constraint elimination needs the "
+                            "assembled interface metadata for large "
+                            "systems")
+    return sp.csr_matrix(svd_nullspace(C))
+
+
+def svd_nullspace(C) -> np.ndarray:
+    """Dense basis of ker C: unit vectors on the columns C does not
+    touch, then an SVD null space of the touched columns."""
+    Cd = C.toarray()
+    n = Cd.shape[1]
+    touched = np.flatnonzero(np.any(Cd != 0.0, axis=0))
+    Zt = la.null_space(Cd[:, touched])
+    keep = np.setdiff1d(np.arange(n), touched)
+    Z = np.zeros((n, len(keep) + Zt.shape[1]))
+    Z[keep, np.arange(len(keep))] = 1.0
+    Z[touched, len(keep):] = Zt
+    return Z
+
+
+def equilibration(system) -> np.ndarray | None:
+    """Diagonal scaling x = D x~ balancing the pressure block.
+
+    In physical units the Herrmann pressure is about lambda = O(E) times
+    larger than the displacements, which spreads the eigenvector across
+    nine orders of magnitude and stalls Lanczos at coarse residuals.
+    Scaling the pressure dofs by the stiffness/coupling ratio restores a
+    balanced pencil; eigenvalues are unchanged and the symmetry is kept.
+    """
+    lay = system.layout
+    if lay is None or lay.n_p == 0 or lay.nfree_u == 0:
+        return None
+    su, _, sp_ = lay.reduced_slices()
+    A = system.A
+    a_uu = abs(A[su, su]).max() if su.stop > su.start else 0.0
+    a_up = abs(A[su, sp_]).max()
+    if a_up == 0.0 or a_uu == 0.0:
+        return None
+    d = np.ones(lay.n_free)
+    d[sp_] = a_uu / a_up
+    return d
+
+
+# ----------------------------------------------------------------------
 # block system
 # ----------------------------------------------------------------------
 
@@ -466,6 +550,22 @@ class BlockSystem:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @functools.cached_property
+    def pencil(self):
+        """The constrained pencil reduced once: (W, W^T A W, W^T B W),
+        the two products in csc format.
+
+        W = D Z, with Z the basis of ker C from ``nullspace_basis`` and D
+        the pressure scaling of ``equilibration``.  C has no pressure
+        columns, so C D = C and W still spans ker C: x = W y satisfies
+        the constraint for every y.
+        """
+        W = nullspace_basis(self)
+        d = equilibration(self)
+        if d is not None:
+            W = (sp.diags(d) @ W).tocsr()
+        return W, (W.T @ self.A @ W).tocsc(), (W.T @ self.B @ W).tocsc()
 
     @classmethod
     def from_matrices(cls, A, B, C=None):

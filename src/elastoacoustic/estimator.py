@@ -394,7 +394,7 @@ def _solid_edge_jumps(mesh, spaces, mode, materials, projection_degree,
 # ----------------------------------------------------------------------
 
 def _fluid_eval(mesh, spaces, mode):
-    coeff, geo = el.bdm_cell_coefficients(mesh, spaces.w_map)
+    coeff, geo = spaces.bdm
     wc = mode.w[spaces.w_map.cell2dof]
     divs = coeff @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     div_w = np.einsum("tj,tj->t", divs, wc)
@@ -544,7 +544,7 @@ def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                                              proj, edges[sel], side, tqe)
             traction[sel], mu_edge[sel], length[sel] = tr, mu, ln
 
-    coeff, geo_f = el.bdm_cell_coefficients(mesh, spaces.w_map)
+    coeff, geo_f = spaces.bdm
     wc = mode.w[spaces.w_map.cell2dof]
     divs = coeff @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
     div_w = np.einsum("tj,tj->t", divs, wc)

@@ -21,7 +21,7 @@ from scipy.optimize import least_squares
 from .assembly import build_block_system
 from .config import RunConfig
 from .eigensolve import (SpectrumReport, solve_pencil, filter_modes,
-                         EigenSolveError, KERNEL_TOL)
+                         EigenSolveError)
 from .meshing import build_cavity_mesh
 
 
@@ -108,7 +108,7 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
                             tuple(collected[kk] for kk in
                                   sorted(collected)),
                             report.shift, notes=notes)
-    filtered = filter_modes(merged, KERNEL_TOL)
+    filtered = filter_modes(merged)
     pairs = [p for p in filtered.pairs
              if k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL]
     pairs.sort(key=lambda p: p.kappa)
@@ -131,7 +131,7 @@ def lowest_physical(system, n, seed=20260808):
     candidates = {}
 
     def merge(report):
-        for p in filter_modes(report, KERNEL_TOL).pairs:
+        for p in filter_modes(report).pairs:
             if p.residual > 1e-3:
                 # smeared kernel copies and unconverged directions
                 continue
@@ -148,7 +148,7 @@ def lowest_physical(system, n, seed=20260808):
     while sigma < SIGMA_CAP:
         report = solve_pencil(system, sigma=sigma, n_modes=k,
                               tol=LANCZOS_TOL, seed=seed)
-        filtered = filter_modes(report, KERNEL_TOL)
+        filtered = filter_modes(report)
         merge(report)
         bag_contact = filtered.n_kernel >= 1
         kappas = report.kappas

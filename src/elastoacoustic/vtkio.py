@@ -43,7 +43,7 @@ def cell_data_from_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair):
     w_cells = np.zeros((mesh.num_triangles, 2))
     wmap = spaces.w_map
     if len(wmap.tris):
-        coeff, geo = el.bdm_cell_coefficients(mesh, wmap)
+        coeff, geo = spaces.bdm
         q = el.quadrature(2)
         cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
         vals, _ = el.bdm_eval(coeff, cpts)

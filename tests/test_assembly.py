@@ -232,7 +232,7 @@ class TestInterface:
         # fluid dofs, the fluid normal trace equals the solid one at
         # every edge point
         sys_ = build_block_system(omega1_n2, "mini", materials)
-        from elastoacoustic.eigensolve import nullspace_basis
+        from elastoacoustic.assembly import nullspace_basis
         lay = sys_.layout
         spaces = sys_.spaces
         rng = np.random.default_rng(5)
