@@ -5,9 +5,13 @@ shift, via shift-invert Lanczos on the reduced pencil the system builds
 once (``BlockSystem.pencil``): with W = D Z, Z eliminating one fluid
 moment dof per interface row and D balancing the pressure block, every
 x = W y satisfies the constraint, and (W^T A W, W^T B W) is shared by
-all shifts solved on the system.  A dense reduction path doubles as the
-brute-force oracle for small systems, with an SVD null-space basis of C
-in place of the elimination.
+all shifts solved on the system.  The shifted operator W^T (A - sigma B) W
+is symmetric in pattern and value, so each shift is factored in
+SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivots
+preferred; X. S. Li, ACM TOMS 31, 2005), which has less than half the
+fill of the default unsymmetric ordering.  A dense reduction path
+doubles as the brute-force oracle for small systems, with an SVD
+null-space basis of C in place of the elimination.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ class SpectrumReport:
     shift: float
     n_kernel: int = 0
     notes: tuple = ()
+    factorizations: int = 0       # sparse LU factorizations of A - sigma B
+    lu_nnz: int = 0               # fill of the factors, SuperLU.nnz
+    inverse_applications: int = 0  # solves with the factored operator
 
     @property
     def kappas(self) -> np.ndarray:
@@ -166,19 +173,21 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
 
     The shifted reduced operator is factored once and a Krylov space is
     iterated on its inverse applied to W^T B W (deterministic seeded
-    start vector, full reorthogonalization, Krylov dimension 4 n_modes).
-    Small systems fall back to the dense reduction.  Eigenvectors are
-    x = W y in the system's own unknowns.
+    start vector, full reorthogonalization, Krylov dimension
+    min(n - 1, max(4 n_modes, n_modes + 12, 48), 220)).  Small systems
+    fall back to the dense reduction.  Eigenvectors are x = W y in the
+    system's own unknowns.  The report counts the factorizations, the
+    largest factor fill and the inverse applications the solve made.
     """
     if n_modes < 1:
         raise EigenSolveError("n_modes must be >= 1")
     W, A, B = system.pencil
     n = A.shape[0]
-    kappas, notes = None, ["dense fallback"]
+    kappas, notes, work = None, ["dense fallback"], {}
     if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
         try:
             kappas, vecs, notes = _arpack_nearest(A, B, sigma, n_modes,
-                                                  tol, seed)
+                                                  tol, seed, work)
         except spla.ArpackError as err:
             if n > ORACLE_CAP:
                 raise EigenSolveError(f"arpack failed: {err}") from err
@@ -191,20 +200,29 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
 
     pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
                   for k in np.argsort(kappas, kind="stable"))
-    return SpectrumReport(n_modes, pairs, float(sigma), notes=tuple(notes))
+    return SpectrumReport(n_modes, pairs, float(sigma), notes=tuple(notes),
+                          **work)
 
 
-def _arpack_nearest(A, B, sigma, n_modes, tol, seed):
+def _arpack_nearest(A, B, sigma, n_modes, tol, seed, work):
+    """ARPACK shift-invert solve; ``work`` receives the report's counts."""
     n = A.shape[0]
     notes = []
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
+    # the floor of 48 lets the 2-pair rungs at a window's low end converge
+    # next to the kappa ~ 0 kernel and sloshing cluster
     ncv = min(n - 1, max(4 * n_modes, n_modes + 12, 48), 220)
     shift = float(sigma)
     lu = None
     for attempt in range(4):
+        work["factorizations"] = attempt + 1
         try:
-            lu = spla.splu((A - shift * B).tocsc())
+            # a diagonal pivot threshold of 0 makes the low-end rungs of
+            # MINI near nu = 1/2 stall; 0.01 does not
+            lu = spla.splu((A - shift * B).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                           options={"SymmetricMode": True})
             break
         except RuntimeError:
             notes.append(f"factorization failed at shift {shift:.6e}; "
@@ -212,7 +230,14 @@ def _arpack_nearest(A, B, sigma, n_modes, tol, seed):
             shift = shift * 1.02 + 1.0
     if lu is None:
         raise EigenSolveError("shifted operator could not be factored")
-    op = spla.LinearOperator((n, n), matvec=lu.solve)
+    work["lu_nnz"] = int(lu.nnz)
+    work["inverse_applications"] = 0
+
+    def inverse(x):
+        work["inverse_applications"] += 1
+        return lu.solve(x)
+
+    op = spla.LinearOperator((n, n), matvec=inverse)
     try:
         vals, vecs = spla.eigsh(A, k=n_modes, M=B, sigma=shift,
                                 which="LM", v0=v0, ncv=ncv, tol=tol,
@@ -271,5 +296,5 @@ def filter_modes(report: SpectrumReport) -> SpectrumReport:
     if not physical:
         notes = notes + ("all modes filtered as kernel; "
                          "physical spectrum empty",)
-    return SpectrumReport(report.requested, tuple(physical), report.shift,
-                          n_kernel=report.n_kernel + kernel, notes=notes)
+    return replace(report, pairs=tuple(physical),
+                   n_kernel=report.n_kernel + kernel, notes=notes)

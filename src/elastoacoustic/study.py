@@ -53,7 +53,9 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
     midpoint leaves at most half of its gap, so the loop ends; a gap
     still open at k = K_CAP raises StudyError.
 
-    Returns (pairs_in_window, full_filtered_report).
+    Returns (pairs_in_window, full_filtered_report); the report sums the
+    rungs' factorizations and inverse applications and keeps their
+    largest factor fill.
     """
     w_lo, w_hi = omega_window
     if not 0 <= w_lo < w_hi:
@@ -62,6 +64,7 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
     k_max = min(K_CAP, system.n - 2)
     collected = {}
     notes, requested = (), 0
+    factorizations = lu_nnz = inverse_applications = 0
 
     # Keeping k minimal per rung avoids dragging the expensive near-zero
     # sloshing cluster into the Krylov space.
@@ -75,6 +78,9 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
                               tol=LANCZOS_TOL, seed=seed)
         notes = notes + report.notes
         requested = max(requested, k)
+        factorizations += report.factorizations
+        lu_nnz = max(lu_nnz, report.lu_nnz)
+        inverse_applications += report.inverse_applications
         for p in report.pairs:
             for kk in list(collected):
                 if abs(kk - p.kappa) <= SAME_KAPPA * max(abs(kk),
@@ -107,7 +113,9 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
     merged = SpectrumReport(requested,
                             tuple(collected[kk] for kk in
                                   sorted(collected)),
-                            report.shift, notes=notes)
+                            report.shift, notes=notes,
+                            factorizations=factorizations, lu_nnz=lu_nnz,
+                            inverse_applications=inverse_applications)
     filtered = filter_modes(merged)
     pairs = [p for p in filtered.pairs
              if k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL]

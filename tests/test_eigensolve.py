@@ -70,6 +70,26 @@ class TestSolvePencil:
         for ka, kb in overlap:
             assert kb == pytest.approx(ka, rel=1e-8)
 
+    def test_work_counts(self, coupled_system_th, monkeypatch):
+        rep = solve_pencil(coupled_system_th, sigma=4e6, n_modes=2)
+        assert rep.factorizations == 1
+        assert rep.lu_nnz > 0 and rep.inverse_applications > 0
+
+        # a window's report adds up the work of its rungs
+        rungs = []
+
+        def recorded(*args, **kw):
+            rungs.append(solve_pencil(*args, **kw))
+            return rungs[-1]
+
+        monkeypatch.setattr(study, "solve_pencil", recorded)
+        _, rep = solve_window(coupled_system_th, (400.0, 2800.0))
+        assert len(rungs) > 1
+        assert rep.factorizations == sum(r.factorizations for r in rungs)
+        assert rep.inverse_applications == \
+            sum(r.inverse_applications for r in rungs)
+        assert rep.lu_nnz == max(r.lu_nnz for r in rungs)
+
     def test_perturbed_shift_on_failure(self):
         # sigma placed exactly on an eigenvalue: the factorization may
         # degenerate; the solver retries and reports
@@ -111,7 +131,7 @@ class TestOracle:
             dense_oracle(sys_)
 
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
-    @pytest.mark.parametrize("nu", [0.35, 0.49, 0.5])
+    @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
     def test_oracle_equivalence(self, omega1_n1, family, nu):
         # every converged pair from the iterative path matches a dense
         # oracle eigenvalue to 1e-8 relative
@@ -277,6 +297,25 @@ class TestWindowedDrivers:
             solve_window(sys_, (400.0, 2800.0), seed=seed)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
+    def test_low_end_rungs_do_not_stall(self, omega1_n2, materials,
+                                        monkeypatch, family, nu):
+        # the 2-pair rungs next to the kappa ~ 0 kernel and sloshing
+        # cluster converge in a bounded number of inverse applications
+        sys_ = build_block_system(omega1_n2, family,
+                                  replace(materials, nu=nu))
+        rungs = []
+
+        def counted(*args, **kw):
+            rungs.append(kw["n_modes"])
+            return solve_pencil(*args, **kw)
+
+        monkeypatch.setattr(study, "solve_pencil", counted)
+        _, rep = solve_window(sys_, (150.0, 12000.0))
+        assert len(rungs) == 15
+        assert rep.inverse_applications <= 2500
 
     def test_pencil_built_once(self, materials, monkeypatch):
         # every rung of a window shares the system's reduced pencil
