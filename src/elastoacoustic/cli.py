@@ -8,7 +8,9 @@ Subcommands:
   fit     rate fit / extrapolation from an existing study CSV
 
 Every run writes a JSON manifest with the resolved parameters and the
-package/dependency versions next to its outputs.
+package/dependency versions next to its outputs; ``solve`` adds the
+window's inertia count of eigenvalues and its work (rungs, sparse
+factorizations, inverse applications, largest factor fill).
 """
 
 from __future__ import annotations
@@ -137,7 +139,13 @@ def cmd_solve(args) -> int:
         for path in system.export_matrix_market(out):
             print(f"wrote {path}")
     _write_manifest(cfg, out, "solve",
-                    {"level": args.level, "dofs": system.n})
+                    {"level": args.level, "dofs": system.n,
+                     "window": {"count": full.window_count,
+                                "rungs": full.rungs,
+                                "factorizations": full.factorizations,
+                                "inverse_applications":
+                                    full.inverse_applications,
+                                "lu_nnz": full.lu_nnz}})
     return 0
 
 

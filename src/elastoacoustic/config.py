@@ -71,6 +71,10 @@ class RunConfig:
         for nu in (self.nu,) + tuple(self.nu_list):
             if not 0.0 < nu <= 0.5:
                 raise ConfigError("nu values must lie in (0, 1/2]")
+        if len(self.window) != 2 or \
+                not 0.0 < self.window[0] < self.window[1]:
+            raise ConfigError("window must be two frequencies "
+                              "0 < w_lo < w_hi in rad/s")
 
     def geometry_spec(self) -> meshing.GeometrySpec:
         kwargs = {}

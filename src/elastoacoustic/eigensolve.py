@@ -9,9 +9,15 @@ all shifts solved on the system.  The shifted operator W^T (A - sigma B) W
 is symmetric in pattern and value, so each shift is factored in
 SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivots
 preferred; X. S. Li, ACM TOMS 31, 2005), which has less than half the
-fill of the default unsymmetric ordering.  A dense reduction path
-doubles as the brute-force oracle for small systems, with an SVD
-null-space basis of C in place of the elimination.
+fill of the default unsymmetric ordering.  ``count_below`` counts the
+eigenvalues below a shift by Sylvester's law of inertia: the negative
+pivots of a pivot-free LDL^T of the shifted operator, factored with a
+diagonal pivot threshold of 0.  At nu = 1/2 the pressure diagonal is
+exactly zero, so each zero-diagonal dof is ordered just after its last
+neighbour, where its pivot has filled in; a count whose factorization
+still pivots off the diagonal raises.  A dense reduction path doubles
+as the brute-force oracle for small systems, with an SVD null-space
+basis of C in place of the elimination.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class SpectrumReport:
     factorizations: int = 0       # sparse LU factorizations of A - sigma B
     lu_nnz: int = 0               # fill of the factors, SuperLU.nnz
     inverse_applications: int = 0  # solves with the factored operator
+    rungs: int = 1                # shift-invert solves summed here
+    window_count: int = None      # eigenvalues in the window, by inertia
 
     @property
     def kappas(self) -> np.ndarray:
@@ -246,6 +254,70 @@ def _arpack_nearest(A, B, sigma, n_modes, tol, seed, work):
         vals, vecs = err.eigenvalues, err.eigenvectors
         notes.append(f"arpack converged only {len(vals)}/{n_modes} pairs")
     return vals, vecs, notes
+
+
+# ----------------------------------------------------------------------
+# inertia count
+# ----------------------------------------------------------------------
+
+def count_below(system: BlockSystem, sigma: float, work=None) -> int:
+    """Negative pivots of a pivot-free LDL^T of W^T (A - sigma B) W.
+
+    By Sylvester's law of inertia this is the number of eigenvalues of
+    the reduced pencil below sigma plus a sigma-independent offset from
+    the pressure block, so count_below(k_hi) - count_below(k_lo) is the
+    number of eigenvalues in [k_lo, k_hi).  The operator is factored in
+    SuperLU's symmetric mode with a diagonal pivot threshold of 0 on a
+    minimum degree ordering.  Where the diagonal has exact zeros (the
+    pressure block at nu = 1/2) that factorization pivots off the
+    diagonal, so each zero-diagonal dof is moved to just after its last
+    neighbour in the ordering, where eliminating the neighbours has
+    filled its pivot, and the operator is factored again in that order.
+    A factorization that still pivots off the diagonal raises
+    EigenSolveError.  ``work`` (a dict) receives the factorizations
+    made under the key "factorizations".
+    """
+    M = (system.pencil[1] - sigma * system.pencil[2]).tocsc()
+    M.eliminate_zeros()
+    lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
+    zero = M.diagonal() == 0.0
+    if zero.any():
+        order = _delay_zero_diagonal(M, np.argsort(lu.perm_c), zero)
+        # free each factor and matrix before making the next: reading
+        # the pivots copies U
+        del lu
+        M = M[order][:, order].tocsc()
+        lu = _ldl(M, "NATURAL", sigma, work)
+    del M
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigenSolveError(f"inertia count at shift {sigma:.6e}: the "
+                              "factorization pivots off the diagonal")
+    return int((lu.U.diagonal() < 0.0).sum())
+
+
+def _ldl(M, permc_spec, sigma, work):
+    """Symmetric-mode LU of M preferring every diagonal pivot; with
+    perm_r == perm_c it is an LDL^T with D = diag(U)."""
+    if work is not None:
+        work["factorizations"] = work.get("factorizations", 0) + 1
+    try:
+        return spla.splu(M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise EigenSolveError(f"inertia count at shift {sigma:.6e}: "
+                              f"{err}") from err
+
+
+def _delay_zero_diagonal(M, order, zero):
+    """``order`` with each zero-diagonal dof moved to just after the last
+    of its nonzero-diagonal neighbours."""
+    pos = np.empty(len(order))
+    pos[order] = np.arange(len(order))
+    key = pos.copy()
+    coo = M.tocoo()
+    link = zero[coo.row] & ~zero[coo.col]
+    np.maximum.at(key, coo.row[link], pos[coo.col[link]] + 0.5)
+    return np.lexsort((pos, key))
 
 
 def _make_pair(system: BlockSystem, kappa, x):

@@ -1,13 +1,18 @@
 """Uniform convergence studies, rate fitting and eigenvalue extrapolation.
 
-The windowed spectral solve covers the requested frequency window with
-shift-invert rungs.  A rung at shift sigma that returns all of its k
-nearest pairs proves that no eigenvalue lies strictly inside
-(sigma - d, sigma + d), d the distance of the farthest returned pair
-(the spectral transformation argument of Ericsson & Ruhe, 1980).  The
-parts of the window not yet proved are kept as a list of open gaps,
-and each rung solves at the midpoint of the widest one until none is
-left.
+The windowed spectral solve finds every eigenvalue in the requested
+frequency window.  Completeness is proved by a count: the negative
+pivots of an LDL^T factorization of the shifted pencil at the two ends
+of the window differ by the number of eigenvalues between them
+(Sylvester's law of inertia; spectrum slicing as in Ericsson & Ruhe,
+1980, and Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994),
+and the window is done once that many distinct pairs are found.  The
+pairs come from shift-invert rungs.  A rung at shift sigma that returns
+all of its k nearest pairs shows that no other eigenvalue lies strictly
+inside (sigma - d, sigma + d), d the distance of the farthest returned
+pair.  The parts of the window no rung has searched are kept as a list
+of open gaps, and each rung solves at the midpoint of the widest one;
+the gaps only order the search.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from scipy.optimize import least_squares
 
 from .assembly import build_block_system
 from .config import RunConfig
-from .eigensolve import (SpectrumReport, solve_pencil, filter_modes,
-                         EigenSolveError)
+from .eigensolve import (SpectrumReport, count_below, solve_pencil,
+                         filter_modes, EigenSolveError)
 from .meshing import build_cavity_mesh
 
 
@@ -41,41 +46,64 @@ LOWEST_RESIDUAL_TOL = 1e-6  # pairs of lowest_physical
 def solve_window(system, omega_window, shift=None, seed=20260808):
     """Physical eigenpairs with omega inside the window, ascending.
 
-    The window (k_lo, k_hi) in kappa = omega^2 starts as one open gap
-    with rung size k = 2.  Each rung solves for the k pairs nearest the
-    midpoint of the widest gap (the first rung at ``shift`` if given).
-    A rung returning all k pairs removes (sigma - d, sigma + d) from
-    every open gap, d the distance of its farthest pair; the pieces left
-    start again at k = 2.  A rung returning fewer doubles k on its gap.
-    Pieces no wider than SAME_KAPPA times their upper end are dropped:
-    below that width two kappa are the same eigenvalue, which is also
-    how pairs found by several rungs are merged.  A full rung at the
-    midpoint leaves at most half of its gap, so the loop ends; a gap
-    still open at k = K_CAP raises StudyError.
+    The window (k_lo, k_hi) in kappa = omega^2 holds
+    N = count_below(k_hi) - count_below(k_lo) eigenvalues, and the
+    search ends once N distinct pairs in it (residual <= RESIDUAL_TOL,
+    merged within SAME_KAPPA) are collected.  The open gaps only order
+    the search.  The window starts as one gap with rung size k = 2, and
+    each rung solves for the k pairs nearest the midpoint of the widest
+    gap, the lowest of gaps equally wide up to SAME_KAPPA k_hi (the
+    first rung at ``shift`` if given).  A rung returning all k pairs
+    removes (sigma - d, sigma + d) from every open gap, d the distance
+    of its farthest pair; the pieces left start again at k = 2.  A rung
+    returning fewer doubles k on its gap, and a gap still open at
+    k = K_CAP raises StudyError.  Pieces no wider than SAME_KAPPA times
+    their upper end are dropped, and a full rung at the midpoint leaves
+    at most half of its gap, so the gaps close.  If they close with a
+    number of pairs other than N, a member of a close or multiple pair
+    was missed, and StudyError names both numbers.  The window must
+    start above 0 rad/s: kappa = 0 is the fluid's curl kernel, where
+    the count is singular and the gaps never close.
 
-    Returns (pairs_in_window, full_filtered_report); the report sums the
-    rungs' factorizations and inverse applications and keeps their
-    largest factor fill.
+    Returns (pairs_in_window, full_filtered_report); the report carries
+    N as ``window_count`` and the number of rungs, sums the rungs' and
+    the counts' factorizations and the rungs' inverse applications, and
+    keeps the rungs' largest factor fill.
     """
     w_lo, w_hi = omega_window
-    if not 0 <= w_lo < w_hi:
-        raise StudyError("invalid frequency window")
+    if not 0 < w_lo < w_hi:
+        raise StudyError(f"invalid frequency window {omega_window}: it "
+                         "must satisfy 0 < w_lo < w_hi")
     k_lo, k_hi = w_lo ** 2, w_hi ** 2
     k_max = min(K_CAP, system.n - 2)
+    counted = {}
+    n_window = count_below(system, k_hi, counted) - \
+        count_below(system, k_lo, counted)
     collected = {}
-    notes, requested = (), 0
-    factorizations = lu_nnz = inverse_applications = 0
+    notes, requested, rungs = (), 0, 0
+    factorizations = counted["factorizations"]
+    lu_nnz = inverse_applications = 0
+
+    def in_window(p):
+        return k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL
 
     # Keeping k minimal per rung avoids dragging the expensive near-zero
     # sloshing cluster into the Krylov space.
     open_gaps = [(k_lo, k_hi, 2)]
-    while open_gaps:
-        gap = max(open_gaps, key=lambda g: g[1] - g[0])
+    found, center = 0, k_lo     # the report's shift if no rung is needed
+    while open_gaps and found < n_window:
+        # the two pieces a midpoint rung leaves are equally wide up to
+        # roundoff in its pairs, so widths within SAME_KAPPA k_hi count
+        # as one and the lower gap goes first, whatever the start vector
+        widest = max(g[1] - g[0] for g in open_gaps)
+        gap = min(g for g in open_gaps
+                  if g[1] - g[0] >= widest - SAME_KAPPA * k_hi)
         lo, hi, k = gap
         center = 0.5 * (lo + hi) if shift is None else shift
         shift = None
         report = solve_pencil(system, sigma=center, n_modes=k,
                               tol=LANCZOS_TOL, seed=seed)
+        rungs += 1
         notes = notes + report.notes
         requested = max(requested, k)
         factorizations += report.factorizations
@@ -91,6 +119,7 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
                     break
             else:
                 collected[p.kappa] = p
+        found = sum(map(in_window, collected.values()))
         if len(report.pairs) < k:
             if k >= k_max:
                 raise StudyError(
@@ -113,13 +142,17 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
     merged = SpectrumReport(requested,
                             tuple(collected[kk] for kk in
                                   sorted(collected)),
-                            report.shift, notes=notes,
+                            center, notes=notes,
                             factorizations=factorizations, lu_nnz=lu_nnz,
-                            inverse_applications=inverse_applications)
+                            inverse_applications=inverse_applications,
+                            rungs=rungs, window_count=n_window)
     filtered = filter_modes(merged)
-    pairs = [p for p in filtered.pairs
-             if k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL]
-    pairs.sort(key=lambda p: p.kappa)
+    pairs = [p for p in filtered.pairs if in_window(p)]
+    if len(pairs) != n_window:
+        raise StudyError(
+            f"the inertia count puts {n_window} eigenvalues in the window "
+            f"({w_lo:.6g}, {w_hi:.6g}) rad/s, but its gaps closed with "
+            f"{len(pairs)} found")
     return pairs, filtered
 
 

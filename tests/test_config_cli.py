@@ -65,6 +65,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(geometry="dodecahedron")
 
+    @pytest.mark.parametrize("window", [(0.0, 2800.0), (-5.0, 2800.0),
+                                        (2800.0, 400.0), (400.0,)])
+    def test_window_must_start_above_zero(self, window):
+        # kappa = 0 is the fluid's curl kernel, which no window may touch
+        with pytest.raises(ConfigError, match="window"):
+            RunConfig(window=window)
+
     def test_overrides(self):
         cfg = RunConfig().with_overrides(nu=0.5, family="mini",
                                          shift=None)
@@ -118,6 +125,24 @@ class TestCli:
         assert (tmp_path / "system_A.mtx").exists()
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "mode_index,kappa,omega,residual,kernel_flag"
+
+    def test_solve_manifest_reports_window_work(self, tmp_path, capsys):
+        rc = main(["solve", "--geometry", "omega1", "--level", "1",
+                   "--modes", "2", "--family", "mini", "--out",
+                   str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        work = manifest["window"]
+        spectrum = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        omegas = [float(row.split(",")[2]) for row in spectrum]
+        # every mode of the default window (400, 2800) rad/s, as counted
+        assert work["count"] == sum(400.0 <= w <= 2800.0 for w in omegas)
+        assert work["count"] >= 2
+        assert work["rungs"] >= 1
+        # each rung factors its shift once, each end of the window once
+        assert work["factorizations"] >= work["rungs"] + 2
+        assert work["inverse_applications"] > 0
+        assert work["lu_nnz"] > 0
 
     def test_study_subcommand_deterministic(self, tmp_path, capsys):
         args = ["study", "--geometry", "omega1", "--family", "mini",

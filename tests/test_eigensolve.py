@@ -10,9 +10,10 @@ from elastoacoustic import meshing as msh
 from elastoacoustic import study
 from elastoacoustic.assembly import (BlockSystem, MaterialField,
                                      build_block_system)
+from elastoacoustic import eigensolve
 from elastoacoustic.eigensolve import (EigenSolveError, SpectrumReport,
-                                       dense_oracle, filter_modes,
-                                       solve_pencil)
+                                       count_below, dense_oracle,
+                                       filter_modes, solve_pencil)
 from elastoacoustic.study import StudyError, lowest_physical, solve_window
 
 
@@ -83,9 +84,13 @@ class TestSolvePencil:
             return rungs[-1]
 
         monkeypatch.setattr(study, "solve_pencil", recorded)
-        _, rep = solve_window(coupled_system_th, (400.0, 2800.0))
+        pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0))
         assert len(rungs) > 1
-        assert rep.factorizations == sum(r.factorizations for r in rungs)
+        assert rep.rungs == len(rungs)
+        assert rep.window_count == len(pairs) == 4
+        # one factorization for each of the two counts at nu < 1/2
+        assert rep.factorizations == \
+            2 + sum(r.factorizations for r in rungs)
         assert rep.inverse_applications == \
             sum(r.inverse_applications for r in rungs)
         assert rep.lu_nnz == max(r.lu_nnz for r in rungs)
@@ -166,6 +171,59 @@ class TestOracle:
             assert p.kappa == pytest.approx(elastic[idx], rel=1e-8)
             hit.add(idx)
         assert hit == set(range(len(pairs[:6])))
+
+
+class TestInertiaCount:
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
+    def test_counts_match_oracle(self, omega1_n1, family, nu):
+        sys_ = build_block_system(omega1_n1, family, MaterialField(nu=nu))
+        oracle = dense_oracle(sys_)
+        for w_lo, w_hi in ((150.0, 12000.0), (400.0, 2800.0)):
+            k_lo, k_hi = w_lo ** 2, w_hi ** 2
+            count = count_below(sys_, k_hi) - count_below(sys_, k_lo)
+            assert count == ((oracle >= k_lo) & (oracle < k_hi)).sum()
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    def test_incompressible_counts_are_pivot_free(self, omega1_n2, materials,
+                                                  family, monkeypatch):
+        # the zero pressure diagonal makes the minimum degree
+        # factorization pivot off the diagonal; the reordered one that
+        # is counted does not
+        sys_ = build_block_system(omega1_n2, family,
+                                  replace(materials, nu=0.5))
+        factored = []
+        splu = eigensolve.spla.splu
+
+        def recorded(M, **kw):
+            lu = splu(M, **kw)
+            factored.append((kw["permc_spec"], lu.perm_r.copy(),
+                             lu.perm_c.copy()))
+            return lu
+
+        monkeypatch.setattr(eigensolve.spla, "splu", recorded)
+        for sigma in (150.0 ** 2, 400.0 ** 2, 2800.0 ** 2, 12000.0 ** 2):
+            work = {}
+            count_below(sys_, sigma, work)
+            assert work["factorizations"] == 2
+        assert [f[0] for f in factored] == ["MMD_AT_PLUS_A", "NATURAL"] * 4
+        for spec, perm_r, perm_c in factored:
+            pivot_free = np.array_equal(perm_r, perm_c)
+            assert pivot_free == (spec == "NATURAL")
+
+    def test_off_diagonal_pivot_raises(self):
+        # a zero diagonal with no nonzero-diagonal neighbour to fill it
+        A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        sys_ = BlockSystem.from_matrices(A, np.eye(3))
+        with pytest.raises(EigenSolveError, match="off the diagonal"):
+            count_below(sys_, 0.0)
+        assert count_below(sys_, 0.5) == 1
+        assert count_below(sys_, 1.5) == 2
+
+    def test_singular_shift_raises(self, coupled_system_th):
+        # kappa = 0 is the fluid's curl kernel
+        with pytest.raises(EigenSolveError, match="inertia count"):
+            count_below(coupled_system_th, 0.0)
 
 
 class TestFilterModes:
@@ -265,6 +323,33 @@ class TestWindowedDrivers:
         assert len(pairs) == len(oracle)
         assert_allclose([p.kappa for p in pairs], oracle, rtol=1e-8)
 
+    def test_window_from_zero_raises(self, coupled_system_th):
+        with pytest.raises(StudyError, match="invalid frequency window"):
+            solve_window(coupled_system_th, (0.0, 2800.0))
+        with pytest.raises(StudyError, match="invalid frequency window"):
+            solve_window(coupled_system_th, (-1.0, 2800.0))
+
+    def test_missed_pair_raises(self, coupled_system_th, monkeypatch):
+        # rungs that silently skip one in-window eigenvalue, as a Krylov
+        # solve can skip a member of a close pair, still close every gap;
+        # the inertia count catches the missing pair
+        pairs, _ = solve_window(coupled_system_th, (400.0, 2800.0))
+        missed = pairs[1].kappa
+
+        def skips_one(system, sigma, n_modes, **kw):
+            rep = solve_pencil(system, sigma=sigma, n_modes=n_modes + 1,
+                               **kw)
+            kept = [p for p in rep.pairs
+                    if abs(p.kappa - missed) > 1e-6 * missed]
+            kept = sorted(kept, key=lambda p: abs(p.kappa - sigma))
+            kept = sorted(kept[:n_modes], key=lambda p: p.kappa)
+            return replace(rep, requested=n_modes, pairs=tuple(kept))
+
+        monkeypatch.setattr(study, "solve_pencil", skips_one)
+        with pytest.raises(StudyError,
+                           match="puts 4 eigenvalues .* closed with 3 found"):
+            solve_window(coupled_system_th, (400.0, 2800.0))
+
     def test_open_gap_raises(self, coupled_system_th, monkeypatch):
         calls = []
 
@@ -298,6 +383,16 @@ class TestWindowedDrivers:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    # rungs per window (150, 12000) rad/s until the count is met, and
+    # whether one of them solves below the lowest mode of the window,
+    # next to the kappa ~ 0 kernel and sloshing cluster
+    LOW_END_RUNGS = {("mini", 0.35): (9, False), ("mini", 0.49): (10, False),
+                     ("mini", 0.499): (10, False), ("mini", 0.5): (10, False),
+                     ("taylor-hood", 0.35): (14, True),
+                     ("taylor-hood", 0.49): (14, True),
+                     ("taylor-hood", 0.499): (11, False),
+                     ("taylor-hood", 0.5): (11, False)}
+
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
     def test_low_end_rungs_do_not_stall(self, omega1_n2, materials,
@@ -306,15 +401,17 @@ class TestWindowedDrivers:
         # cluster converge in a bounded number of inverse applications
         sys_ = build_block_system(omega1_n2, family,
                                   replace(materials, nu=nu))
-        rungs = []
+        shifts = []
 
         def counted(*args, **kw):
-            rungs.append(kw["n_modes"])
+            shifts.append(kw["sigma"])
             return solve_pencil(*args, **kw)
 
         monkeypatch.setattr(study, "solve_pencil", counted)
-        _, rep = solve_window(sys_, (150.0, 12000.0))
-        assert len(rungs) == 15
+        pairs, rep = solve_window(sys_, (150.0, 12000.0))
+        rungs, below_lowest = self.LOW_END_RUNGS[family, nu]
+        assert len(shifts) == rungs
+        assert (min(shifts) < pairs[0].kappa) == below_lowest
         assert rep.inverse_applications <= 2500
 
     def test_pencil_built_once(self, materials, monkeypatch):
@@ -337,7 +434,7 @@ class TestWindowedDrivers:
         monkeypatch.setattr(assembly, "nullspace_basis", counted_basis)
         monkeypatch.setattr(study, "solve_pencil", counted_solve)
         solve_window(sys_, (400.0, 2800.0))
-        assert len(rungs) == 3
+        assert len(rungs) == 2
         assert len(builds) == 1 and builds[0] is sys_
         assert sys_.pencil is sys_.pencil
         assert len(builds) == 1
