@@ -179,6 +179,12 @@ class Spaces:
         cells, computed once per space."""
         return el.bdm_cell_coefficients(self.mesh, self.w_map)
 
+    @functools.cached_property
+    def solid_geometry(self) -> el.TriGeometry:
+        """Affine maps of the solid cells, rows aligned with
+        ``u_map.tris``, computed once per space."""
+        return el.tri_geometry(self.mesh, self.u_map.tris)
+
 
 def build_spaces(mesh: Mesh, family: str) -> Spaces:
     if family not in FAMILIES:
@@ -243,14 +249,36 @@ def _vector_expand(S1, S2):
     return K
 
 
-def _solid_tables(mesh, spaces, degree):
+def _solid_tables(spaces, degree):
     q = el.quadrature(degree)
-    geo = el.tri_geometry(mesh, spaces.u_map.tris)
-    val_u, grad_u, _ = el.scalar_tables(spaces.u_map.kind, geo, q.points)
-    val_p, grad_p, _ = el.scalar_tables(el.P1, geo, q.points)
+    geo = spaces.solid_geometry
+    val_u, grad_u = el.scalar_tables(spaces.u_map.kind, geo, q.points)
+    val_p, _, _ = el.scalar_basis_at(el.P1, q.points)
     pts = el.physical_points(geo, q.points)
     dv = q.weights[None, :] * geo.det[:, None]
     return q, geo, val_u, grad_u, val_p, pts, dv
+
+
+def _point_sums(w, left, right):
+    """sum_q sum_r (w[t, q] left[t, q, i, r]) right[t, q, j, r], shape
+    (nt, m, n); ``left`` and ``right`` may be reference tables of shape
+    (1, nq, ., r).
+
+    Each point's r terms are added first and the points then in
+    quadrature order, the order of the three-operand einsum this
+    replaces, so the local matrices are the same to the bit.  A BLAS
+    matmul sums in another order with fused multiply-adds and turns
+    exact cancellations, such as the MINI vertex-bubble couplings under
+    a constant mu, into roundoff entries of the sparsity pattern.
+    """
+    out = np.zeros((len(w), left.shape[2], right.shape[2]))
+    for k in range(w.shape[1]):
+        wl = w[:, k, None, None] * left[:, k]
+        term = wl[:, :, None, 0] * right[:, k, None, :, 0]
+        for r in range(1, left.shape[3]):
+            term += wl[:, :, None, r] * right[:, k, None, :, r]
+        out += term
+    return out
 
 
 def _scatter(rows_list, cols_list, vals_list, Kloc, dofs_r, dofs_c):
@@ -267,21 +295,25 @@ def assemble_stiffness(mesh: Mesh, spaces: Spaces,
     rows, cols, vals = [], [], []
 
     if len(spaces.u_map.tris):
-        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(
-            mesh, spaces, degree)
+        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(spaces,
+                                                              degree)
         muq = materials.mu(pts)
         ilq = materials.inv_lambda(pts)
+        nt, nq, ns = grad_u.shape[:3]
         mdv = muq * dv
-        S1 = np.einsum("tq,tqad,tqbd->tab", mdv, grad_u, grad_u)
-        S2 = np.einsum("tq,tqad,tqbc->tabdc", mdv, grad_u, grad_u)
+        S1 = _point_sums(mdv, grad_u, grad_u)
+        # S2[t, a, b, d, c] = sum_q mu dv d_d phi_a d_c phi_b from the
+        # products of the flattened (a, d) and (b, c) columns
+        G = grad_u.reshape(nt, nq, 2 * ns, 1)
+        S2 = _point_sums(mdv, G, G).reshape(nt, ns, 2, ns, 2).transpose(
+            0, 1, 3, 2, 4)
         Kuu = _symmetrize(_vector_expand(S1, S2))
 
         # -int p div v: dof (a,c) couples through d_c phi_a
-        Bup_s = -np.einsum("tq,qm,tqac->tacm", dv, val_p, grad_u)
-        nt, ns = Bup_s.shape[0], Bup_s.shape[1]
-        Bup = Bup_s.reshape(nt, 2 * ns, 3)
+        P1 = val_p[None, ..., None]
+        Bup = -_point_sums(dv, P1, G).transpose(0, 2, 1)
 
-        App = _symmetrize(-np.einsum("tq,qm,qn->tmn", ilq * dv, val_p, val_p))
+        App = _symmetrize(-_point_sums(ilq * dv, P1, P1))
 
         udofs = spaces.u_map.cell2dof
         pdofs = spaces.p_map.cell2dof + lay.off_p
@@ -345,9 +377,10 @@ def assemble_mass(mesh: Mesh, spaces: Spaces, materials: MaterialField,
     rows, cols, vals = [], [], []
 
     if len(spaces.u_map.tris):
-        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(
-            mesh, spaces, degree)
-        Ms = _symmetrize(materials.rho_s * np.einsum("tq,qa,qb->tab", dv, val_u, val_u))
+        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(spaces,
+                                                              degree)
+        U = val_u[None, ..., None]
+        Ms = _symmetrize(materials.rho_s * _point_sums(dv, U, U))
         nt, ns = Ms.shape[0], Ms.shape[1]
         Muu = np.zeros((nt, 2 * ns, 2 * ns))
         Muu[:, 0::2, 0::2] = Ms
@@ -362,8 +395,7 @@ def assemble_mass(mesh: Mesh, spaces: Spaces, materials: MaterialField,
         cpts = pts - geo_f.centroid[:, None, :]
         valw, _ = el.bdm_eval(coeff, cpts)
         dvf = q.weights[None, :] * geo_f.det[:, None]
-        Mww = _symmetrize(materials.rho_f * np.einsum("tq,tqic,tqjc->tij",
-                                                      dvf, valw, valw))
+        Mww = _symmetrize(materials.rho_f * _point_sums(dvf, valw, valw))
         wdofs = spaces.w_map.cell2dof + lay.off_w
         _scatter(rows, cols, vals, Mww, wdofs, wdofs)
 
@@ -566,6 +598,13 @@ class BlockSystem:
         if d is not None:
             W = (sp.diags(d) @ W).tocsr()
         return W, (W.T @ self.A @ W).tocsc(), (W.T @ self.B @ W).tocsc()
+
+    @functools.cached_property
+    def count_orders(self) -> dict:
+        """Pivot-free orderings of the reduced pencil that
+        ``eigensolve.count_below`` has made, kept for the system's later
+        counts."""
+        return {}
 
     @classmethod
     def from_matrices(cls, A, B, C=None):

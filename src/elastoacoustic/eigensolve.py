@@ -273,26 +273,39 @@ def count_below(system: BlockSystem, sigma: float, work=None) -> int:
     diagonal, so each zero-diagonal dof is moved to just after its last
     neighbour in the ordering, where eliminating the neighbours has
     filled its pivot, and the operator is factored again in that order.
-    A factorization that still pivots off the diagonal raises
-    EigenSolveError.  ``work`` (a dict) receives the factorizations
-    made under the key "factorizations".
+    That ordering depends on the pattern alone, so only the first count
+    of a system makes the minimum degree factorization, and later counts
+    reuse its ordering.  A factorization that still pivots off the
+    diagonal raises EigenSolveError.  ``work`` (a dict) receives the
+    factorizations made under the key "factorizations".
     """
     M = (system.pencil[1] - sigma * system.pencil[2]).tocsc()
     M.eliminate_zeros()
-    lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
     zero = M.diagonal() == 0.0
     if zero.any():
-        order = _delay_zero_diagonal(M, np.argsort(lu.perm_c), zero)
-        # free each factor and matrix before making the next: reading
-        # the pivots copies U
-        del lu
+        order = _pivot_free_order(system, M, zero, sigma, work)
         M = M[order][:, order].tocsc()
         lu = _ldl(M, "NATURAL", sigma, work)
+    else:
+        lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
     del M
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigenSolveError(f"inertia count at shift {sigma:.6e}: the "
                               "factorization pivots off the diagonal")
     return int((lu.U.diagonal() < 0.0).sum())
+
+
+def _pivot_free_order(system, M, zero, sigma, work):
+    """The minimum degree ordering of M with each zero-diagonal dof
+    delayed, made on the first count of the system and kept in
+    ``BlockSystem.count_orders`` under the zero-diagonal set: both depend
+    on the pattern of M alone, which every shift shares."""
+    key = zero.tobytes()
+    if key not in system.count_orders:
+        lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
+        system.count_orders[key] = _delay_zero_diagonal(
+            M, np.argsort(lu.perm_c), zero)
+    return system.count_orders[key]
 
 
 def _ldl(M, permc_spec, sigma, work):

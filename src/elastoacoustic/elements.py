@@ -501,19 +501,14 @@ def barycentric(geo: TriGeometry, pts) -> np.ndarray:
     return np.stack([lam0, xi[..., 0], xi[..., 1]], axis=-1)
 
 
-def scalar_tables(kind: ElementKind, geo: TriGeometry, bary: np.ndarray,
-                  hessians: bool = False):
-    """Physical values / gradients (/ Hessians) of the scalar basis.
+def scalar_tables(kind: ElementKind, geo: TriGeometry, bary: np.ndarray):
+    """Physical values / gradients of the scalar basis.
 
-    val (nq, ns), grad (nt, nq, ns, 2), hess (nt, nq, ns, 2, 2).
+    val (nq, ns), grad (nt, nq, ns, 2).
     """
-    val, gref, href = _scalar_basis(scalar_generator(kind),
-                                    np.asarray(bary, float))
-    grad = np.einsum("qsd,tdc->tqsc", gref, geo.inv_jac)
-    if not hessians:
-        return val, grad, None
-    hess = np.einsum("qsab,tac,tbd->tqscd", href, geo.inv_jac, geo.inv_jac)
-    return val, grad, hess
+    val, gref, _ = _scalar_basis(scalar_generator(kind),
+                                 np.asarray(bary, float))
+    return val, np.einsum("qsd,tdc->tqsc", gref, geo.inv_jac)
 
 
 def bdm_cell_coefficients(mesh: Mesh, dofmap: DofMap):

@@ -24,10 +24,26 @@ tangential term: an exact mode has omega^2 rho_f w = grad p with the
 fluid pressure p = -c^2 rho_f div w, so w x n equals the tangential
 derivative of p over omega^2 rho_f, which does not vanish on either
 boundary.  Only the interior jump of w x n is a residual.
+
+Fields are contracted before they are mapped.  On the shared volume
+quadrature points each field's cell coefficients are contracted with
+the reference-element tables of its basis (values, gradients and
+Hessians), one matmul per table for all triangles, and only then does
+each triangle's affine map B act on the small per-point results:
+gradients as B^-T g, Hessians as B^-T H B^-1.  An edge's points lie at
+one of six placements on its triangle (local edge and direction), so
+each edge takes the reference table of its placement, contracted with
+its triangle's coefficients before the same map.  The BDM fluid field
+is linear on each triangle, so its cell dofs are contracted with the
+basis coefficients of ``Spaces.bdm`` into six monomial coefficients
+first and evaluated at points after.  The projection of mu is built
+once per ``estimate_mode``, and the solid geometry comes from
+``Spaces.solid_geometry``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,23 +160,21 @@ class IndicatorSet:
         return IndicatorSet(**data)
 
     def to_csv(self, mesh: Mesh) -> str:
-        sub = {int(t): "solid" for t in (self.solid_tris if
-                                         self.solid_tris is not None
-                                         else ())}
-        sub.update({int(t): "fluid" for t in (self.fluid_tris if
-                                              self.fluid_tris is not None
-                                              else ())})
-        volume = np.zeros(mesh.num_triangles)
+        nt = mesh.num_triangles
+        sub = np.full(nt, "?", dtype=object)
+        volume = np.zeros(nt)
+        if self.solid_tris is not None:
+            sub[self.solid_tris] = "solid"
+        if self.fluid_tris is not None:
+            sub[self.fluid_tris] = "fluid"
         if self.eta2_K_S is not None:
             volume[self.solid_tris] = self.eta2_K_S
         if self.eta2_K_F is not None:
             volume[self.fluid_tris] = self.eta2_K_F
         totals = self.element_totals(mesh)
-        lines = ["element,subdomain,eta2_volume,eta2_total"]
-        for t in range(mesh.num_triangles):
-            lines.append(f"{t},{sub.get(t, '?')},{volume[t]:.12e},"
-                         f"{totals[t]:.12e}")
-        return "\n".join(lines) + "\n"
+        rows = zip(range(nt), sub.tolist(), volume.tolist(), totals.tolist())
+        return "element,subdomain,eta2_volume,eta2_total\n" \
+            + "%d,%s,%.12e,%.12e\n" * nt % tuple(itertools.chain(*rows))
 
 
 def _mode_key(mode: EigenPair):
@@ -191,19 +205,20 @@ class MuProjection:
         return np.einsum("tk,qk->tq", self.coeff, bary)
 
 
-def project_mu(mesh: Mesh, tris, materials: MaterialField,
+def project_mu(spaces: Spaces, materials: MaterialField,
                degree: int = DEFAULT_PROJECTION,
                quad_degree: int = DEFAULT_DEGREE) -> MuProjection:
+    """Projection of mu on the solid triangles of ``spaces``."""
     if degree not in (0, 1):
         raise EstimatorError("mu projection degree must be 0 or 1")
-    geo = el.tri_geometry(mesh, tris)
+    geo = spaces.solid_geometry
     q = el.quadrature(quad_degree)
     pts = el.physical_points(geo, q.points)
     muq = materials.mu(pts)
     dv = q.weights[None, :] * geo.det[:, None]
     if degree == 0:
         coeff = ((muq * dv).sum(axis=1) / geo.area)[:, None]
-        return MuProjection(0, coeff, np.zeros((len(tris), 2)))
+        return MuProjection(0, coeff, np.zeros((len(coeff), 2)))
     # barycentric mass matrix is area/12 * (I + ones)
     rhs = np.einsum("tq,qk->tk", muq * dv, q.points)
     M = (np.eye(3) + np.ones((3, 3))) / 12.0
@@ -219,35 +234,43 @@ def project_mu(mesh: Mesh, tris, materials: MaterialField,
 # field evaluation helpers
 # ----------------------------------------------------------------------
 
-def _solid_fields_at(mesh, spaces, mode, bary, tris_positions=None,
-                     hessians=False):
-    """Values/derivatives of (u, p) at shared barycentric points on the
-    solid triangles (or a subset given by positions into u_map.tris)."""
+def _contract(table, coeff):
+    """sum_s table[q, s, ...] coeff[t, s, ...], shape (nt, nq, ...).
+
+    One matmul of a reference table (nq, ns, ...) with the cell
+    coefficients (nt, ns, ...) of every triangle at once.
+    """
+    ns = table.shape[1]
+    rows = np.moveaxis(table, 1, -1).reshape(-1, ns)
+    cols = np.moveaxis(coeff, 0, -1).reshape(ns, -1)
+    out = (rows @ cols).reshape(table.shape[:1] + table.shape[2:]
+                                + coeff.shape[2:] + coeff.shape[:1])
+    return np.moveaxis(out, -1, 0)
+
+
+def _solid_fields(spaces, mode, bary):
+    """u, grad u, Hessian of u, p and grad p at the shared barycentric
+    points ``bary`` of every solid triangle.
+
+    grad u is (nt, nq, 2, 2) with [..., c, d] = d u_c / d x_d and the
+    Hessian (nt, nq, 2, 2, 2) with [..., c, a, b] = d^2 u_c / dx_a dx_b.
+    """
     umap, pmap = spaces.u_map, spaces.p_map
-    tris = umap.tris if tris_positions is None \
-        else umap.tris[tris_positions]
-    geo = el.tri_geometry(mesh, tris)
-    val, grad, hess = el.scalar_tables(umap.kind, geo, bary,
-                                       hessians=hessians)
-    c2d = umap.cell2dof if tris_positions is None \
-        else umap.cell2dof[tris_positions]
-    uc = mode.u[c2d]                           # (nt, 2 ns)
-    ux, uy = uc[:, 0::2], uc[:, 1::2]
-    u_val = np.stack([np.einsum("qs,ts->tq", val, ux),
-                      np.einsum("qs,ts->tq", val, uy)], axis=-1)
-    u_grad = np.stack([np.einsum("tqsd,ts->tqd", grad, ux),
-                       np.einsum("tqsd,ts->tqd", grad, uy)], axis=-2)
-    u_hess = None
-    if hessians:
-        u_hess = np.stack([np.einsum("tqsab,ts->tqab", hess, ux),
-                           np.einsum("tqsab,ts->tqab", hess, uy)], axis=-3)
-    pval, pgrad, _ = el.scalar_tables(el.P1, geo, bary)
-    p2d = pmap.cell2dof if tris_positions is None \
-        else pmap.cell2dof[tris_positions]
-    pc = mode.p[p2d]
-    p_val = np.einsum("qs,ts->tq", pval, pc)
-    p_grad = np.einsum("tqsd,ts->tqd", pgrad, pc)
-    return geo, u_val, u_grad, u_hess, p_val, p_grad
+    inv = spaces.solid_geometry.inv_jac
+    val, gref, href = el.scalar_basis_at(umap.kind, bary)
+    uc = mode.u[umap.cell2dof].reshape(len(umap.tris), -1, 2)
+    u_val = _contract(val, uc)                           # (nt, nq, c)
+    # reference derivatives [..., d, c] map as B^-T
+    u_grad = np.swapaxes(_contract(gref, uc), -1, -2) @ inv[:, None]
+    u_href = np.moveaxis(_contract(href, uc), -1, -3)    # [..., c, a, b]
+    u_hess = np.swapaxes(inv, -1, -2)[:, None, None] @ u_href \
+        @ inv[:, None, None]
+    pval, pgref, _ = el.scalar_basis_at(el.P1, bary)
+    pc = mode.p[pmap.cell2dof][..., None]
+    p_val = _contract(pval, pc)[..., 0]
+    p_grad = (np.swapaxes(_contract(pgref, pc), -1, -2)
+              @ inv[:, None])[:, :, 0]
+    return u_val, u_grad, u_hess, p_val, p_grad
 
 
 def _strain(u_grad):
@@ -262,20 +285,27 @@ def solid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                      materials: MaterialField,
                      quad_degree: int = DEFAULT_DEGREE,
                      projection_degree: int = DEFAULT_PROJECTION,
-                     edge_points: int = DEFAULT_EDGE_POINTS) -> IndicatorSet:
-    """Element residuals, data oscillation and solid-edge jumps."""
+                     edge_points: int = DEFAULT_EDGE_POINTS, *,
+                     proj: MuProjection = None) -> IndicatorSet:
+    """Element residuals, data oscillation and solid-edge jumps.
+
+    ``proj`` is the projection of mu from ``project_mu``, built here when
+    not given.
+    """
     if spaces.u_map.ndof and len(mode.u) != spaces.u_map.ndof:
         raise EstimatorError("mode does not carry solid fields for these "
                              "spaces")
     tris = spaces.u_map.tris
     if not len(tris):
         return IndicatorSet(mode_key=_mode_key(mode))
+    if proj is None:
+        proj = project_mu(spaces, materials, projection_degree, quad_degree)
     q = el.quadrature(quad_degree)
-    geo, u_val, u_grad, u_hess, p_val, p_grad = _solid_fields_at(
-        mesh, spaces, mode, q.points, hessians=True)
+    geo = spaces.solid_geometry
+    u_val, u_grad, u_hess, p_val, p_grad = _solid_fields(spaces, mode,
+                                                         q.points)
     pts = el.physical_points(geo, q.points)
     dv = q.weights[None, :] * geo.det[:, None]
-    proj = project_mu(mesh, tris, materials, projection_degree, quad_degree)
     mu_h = proj.at(q.points)
     mu_exact = materials.mu(pts)
     il = materials.inv_lambda(pts)
@@ -301,9 +331,7 @@ def solid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
     theta_K = np.einsum("tq,tq->t", dv, rho1 ** 2 * (mu_exact - mu_h) ** 2
                         * np.einsum("tqij,tqij->tq", eps, eps))
 
-    edges, eta_J = _solid_edge_jumps(mesh, spaces, mode, materials,
-                                     projection_degree, quad_degree,
-                                     edge_points)
+    edges, eta_J = _solid_edge_jumps(mesh, spaces, mode, proj, edge_points)
     return IndicatorSet(solid_tris=tris, eta2_K_S=eta_K,
                         theta2_K_S=theta_K, solid_edges=edges,
                         eta2_J_S=eta_J, mode_key=_mode_key(mode))
@@ -318,37 +346,42 @@ def _edge_frames(mesh, edges):
     return a, tang, nrm, length
 
 
-def _solid_stress_trace(mesh, spaces, mode, materials, proj, edges, side,
-                        tq):
+def _edge_bary(tq):
+    """Barycentric coordinates (6, nq, 3) of the edge points a + t (b - a)
+    at the six placements of an edge on a triangle: placement 2 i is its
+    local edge i with a at vertex i + 1, placement 2 i + 1 the same edge
+    with a at vertex i + 2 (mod 3)."""
+    bary = np.zeros((6, len(tq), 3))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        bary[2 * i, :, j] = bary[2 * i + 1, :, k] = 1.0 - tq
+        bary[2 * i, :, k] = bary[2 * i + 1, :, j] = tq
+    return bary
+
+
+def _solid_stress_trace(mesh, spaces, mode, proj, edges, side, tq):
     """(2 mu_h eps(u) - p I) n at edge quadrature points, from one side."""
-    tri_ids = mesh.edge_tris[edges, side]
-    pos = _positions(spaces.u_map.tris)
-    k = pos[tri_ids]
-    a, tang, nrm, length = _edge_frames(mesh, edges)
-    pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
-    geo = el.tri_geometry(mesh, spaces.u_map.tris[k])
-    bary = el.barycentric(geo, pts)
-    flat = bary.reshape(-1, 3)
-    nq = len(tq)
-    val, gref, _ = el.scalar_basis_at(spaces.u_map.kind, flat)
-    ns = val.shape[1]
-    val = val.reshape(len(edges), nq, ns)
-    gref = gref.reshape(len(edges), nq, ns, 2)
-    grad = np.einsum("eqsd,edc->eqsc", gref, geo.inv_jac)
-    uc = mode.u[spaces.u_map.cell2dof[k]]
-    ux, uy = uc[:, 0::2], uc[:, 1::2]
-    u_grad = np.stack([np.einsum("eqsd,es->eqd", grad, ux),
-                       np.einsum("eqsd,es->eqd", grad, uy)], axis=-2)
-    eps = _strain(u_grad)
-    pval, _, _ = el.scalar_basis_at(el.P1, flat)
-    pval = pval.reshape(len(edges), nq, 3)
-    pc = mode.p[spaces.p_map.cell2dof[k]]
-    p = np.einsum("eqs,es->eq", pval, pc)
+    tri = mesh.edge_tris[edges, side]
+    k = _positions(spaces.u_map.tris)[tri]
+    _, _, nrm, length = _edge_frames(mesh, edges)
+    local = np.argmax(mesh.tri_edges[tri] == edges[:, None], axis=1)
+    place = 2 * local + (mesh.triangles[tri, (local + 1) % 3]
+                         != mesh.edges[edges, 0])
+    places = _edge_bary(tq)
+    _, gref, _ = el.scalar_basis_at(spaces.u_map.kind, places.reshape(-1, 3))
+    gref = np.swapaxes(gref.reshape(6, len(tq), -1, 2), -1, -2)
+    uc = mode.u[spaces.u_map.cell2dof[k]].reshape(len(edges), -1, 2)
+    # each edge's table contracted with its triangle's coefficients,
+    # then the (d, c) result mapped
+    gu = gref[place] @ uc[:, None]
+    inv = spaces.solid_geometry.inv_jac[k]
+    u_grad = np.swapaxes(gu, -1, -2) @ inv[:, None]
+    bary = places[place]                       # (ne, nq, 3)
+    # P1 basis values are the barycentric coordinates
+    p = (bary @ mode.p[spaces.p_map.cell2dof[k]][:, :, None])[..., 0]
     mu_h = _mu_at(proj, k, bary)
-    stress = 2.0 * mu_h[..., None, None] * eps
-    stress[..., 0, 0] -= p
-    stress[..., 1, 1] -= p
-    traction = np.einsum("eqij,ej->eqi", stress, nrm)
+    eps_n = (_strain(u_grad) @ nrm[:, None, :, None])[..., 0]
+    traction = 2.0 * mu_h[..., None] * eps_n - p[..., None] * nrm[:, None]
     return traction, mu_h, length
 
 
@@ -365,8 +398,7 @@ def _positions(ids):
     return pos
 
 
-def _solid_edge_jumps(mesh, spaces, mode, materials, projection_degree,
-                      quad_degree, edge_points):
+def _solid_edge_jumps(mesh, spaces, mode, proj, edge_points):
     tag = mesh.edge_tag
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     solid0 = mesh.tri_tag[np.clip(t0, 0, None)] == SOLID
@@ -375,18 +407,16 @@ def _solid_edge_jumps(mesh, spaces, mode, materials, projection_degree,
     edges = np.flatnonzero(interior | neumann).astype(np.int32)
     if not len(edges):
         return edges, np.zeros(0)
-    proj = project_mu(mesh, spaces.u_map.tris, materials,
-                      projection_degree, quad_degree)
     tqe, wqe = el.edge_gauss(edge_points)
-    tr0, mu0, length = _solid_stress_trace(mesh, spaces, mode, materials,
-                                           proj, edges, 0, tqe)
+    tr0, mu0, length = _solid_stress_trace(mesh, spaces, mode, proj, edges,
+                                           0, tqe)
     is_int = interior[edges]
     J = tr0.copy()
     mu_edge = mu0.copy()
     if is_int.any():
         sub = edges[is_int]
-        tr1, mu1, _ = _solid_stress_trace(mesh, spaces, mode, materials,
-                                          proj, sub, 1, tqe)
+        tr1, mu1, _ = _solid_stress_trace(mesh, spaces, mode, proj, sub, 1,
+                                          tqe)
         J[is_int] = 0.5 * (tr0[is_int] - tr1)
         mu_edge[is_int] = 0.5 * (mu0[is_int] + mu1)
     rhoE2 = 1.0 / (2.0 * mu_edge) / 2.0        # (rho_E^S)^2 pointwise
@@ -399,21 +429,29 @@ def _solid_edge_jumps(mesh, spaces, mode, materials, projection_degree,
 # fluid indicators
 # ----------------------------------------------------------------------
 
-def _fluid_div(spaces, wc):
-    """Elementwise div w on the fluid triangles from the cell dofs wc."""
+def _fluid_eval(spaces, mode):
+    """w on each fluid triangle as monomial coefficients a (nt, 6), with
+    div w and rot w (nt,).
+
+    The cell dofs are contracted with the BDM coefficient tensors of
+    ``Spaces.bdm``: w = (a0 + a2 X + a4 Y, a1 + a3 X + a5 Y) in
+    coordinates (X, Y) centered at the centroid, so div w = a2 + a5 and
+    rot w = a3 - a4 are elementwise constant.
+    """
     coeff, _ = spaces.bdm
-    divs = coeff @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-    return np.einsum("tj,tj->t", divs, wc)
-
-
-def _fluid_eval(mesh, spaces, mode):
-    coeff, geo = spaces.bdm
     wc = mode.w[spaces.w_map.cell2dof]
-    div_w = _fluid_div(spaces, wc)
-    grads = el.bdm_gradients(coeff)
-    gw = np.einsum("tjcd,tj->tcd", grads, wc)
-    rot_w = gw[:, 1, 0] - gw[:, 0, 1]
-    return coeff, geo, wc, div_w, rot_w
+    mono = (wc[:, None, :] @ coeff)[:, 0]
+    # a2 and a5 can be much larger than their sum, so div w is taken from
+    # the basis divergences, which keeps the jumps of div w accurate
+    div = np.einsum("tj,tj->t", coeff[:, :, 2] + coeff[:, :, 5], wc)
+    return mono, div, mono[:, 3] - mono[:, 4]
+
+
+def _fluid_at(mono, cpts):
+    """w (n, nq, 2) from monomial coefficients (n, 6) at centered points
+    (n, nq, 2)."""
+    return mono[:, None, 0:2] + cpts[..., 0:1] * mono[:, None, 2:4] \
+        + cpts[..., 1:2] * mono[:, None, 4:6]
 
 
 def fluid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
@@ -432,11 +470,11 @@ def fluid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
     tris = spaces.w_map.tris
     if not len(tris):
         return IndicatorSet(mode_key=_mode_key(mode))
-    coeff, geo, wc, div_w, rot_w = _fluid_eval(mesh, spaces, mode)
+    _, geo = spaces.bdm
+    mono, div_w, rot_w = _fluid_eval(spaces, mode)
     q = el.quadrature(quad_degree)
     cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
-    vals, _ = el.bdm_eval(coeff, cpts)
-    w_val = np.einsum("tqjc,tj->tqc", vals, wc)
+    w_val = _fluid_at(mono, cpts)
     dv = q.weights[None, :] * geo.det[:, None]
     kappa, rho_f = mode.kappa, materials.rho_f
     rf, re = Weights.fluid(materials, kappa)
@@ -449,27 +487,25 @@ def fluid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
     eta_K = hK2 * rf ** 2 * (np.einsum("tq,tq->t", dv, R1sq)
                              + R2sq * geo.area)
 
-    edges, eta_J = _fluid_edge_jumps(mesh, spaces, mode, materials,
-                                     coeff, geo, wc, div_w, edge_points)
+    edges, eta_J = _fluid_edge_jumps(mesh, spaces, mode, materials, mono,
+                                     div_w, edge_points)
     return IndicatorSet(fluid_tris=tris, eta2_K_F=eta_K,
                         fluid_edges=edges, eta2_J_F=eta_J,
                         mode_key=_mode_key(mode))
 
 
-def _fluid_trace(mesh, spaces, coeff, geo, wc, edges, side, tq):
+def _fluid_trace(mesh, spaces, mono, edges, side, tq):
     """w at edge quadrature points from one side, (ne, nq, 2)."""
-    pos = _positions(spaces.w_map.tris)
-    k = pos[mesh.edge_tris[edges, side]]
+    _, geo = spaces.bdm
+    k = _positions(spaces.w_map.tris)[mesh.edge_tris[edges, side]]
     a, tang, nrm, length = _edge_frames(mesh, edges)
     pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
-    cpts = pts - geo.centroid[k][:, None, :]
-    vals, _ = el.bdm_eval(coeff[k], cpts)
-    w = np.einsum("eqjc,ej->eqc", vals, wc[k])
+    w = _fluid_at(mono[k], pts - geo.centroid[k][:, None, :])
     return w, nrm, length, k
 
 
-def _fluid_edge_jumps(mesh, spaces, mode, materials, coeff, geo, wc,
-                      div_w, edge_points):
+def _fluid_edge_jumps(mesh, spaces, mode, materials, mono, div_w,
+                      edge_points):
     tag = mesh.edge_tag
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     fluid0 = mesh.tri_tag[np.clip(t0, 0, None)] == FLUID
@@ -478,23 +514,21 @@ def _fluid_edge_jumps(mesh, spaces, mode, materials, coeff, geo, wc,
     edges = np.flatnonzero(interior | surface).astype(np.int32)
     if not len(edges):
         return edges, np.zeros(0)
+    _, geo = spaces.bdm
     kappa = mode.kappa
     c2rf = materials.c ** 2 * materials.rho_f
     rho_f = materials.rho_f
     rf, re = Weights.fluid(materials, kappa)
     tqe, wqe = el.edge_gauss(edge_points)
-    pos = _positions(spaces.w_map.tris)
 
-    w0, nrm, length, k0 = _fluid_trace(mesh, spaces, coeff, geo, wc,
-                                       edges, 0, tqe)
+    w0, nrm, length, k0 = _fluid_trace(mesh, spaces, mono, edges, 0, tqe)
     div0 = div_w[k0]
     is_int = interior[edges]
     eta = np.zeros(len(edges))
 
     if is_int.any():
         sub = edges[is_int]
-        w1, _, _, k1 = _fluid_trace(mesh, spaces, coeff, geo, wc, sub, 1,
-                                    tqe)
+        w1, _, _, k1 = _fluid_trace(mesh, spaces, mono, sub, 1, tqe)
         jump_div = 0.5 * c2rf * (div0[is_int] - div_w[k1])   # along n0
         dw = 0.5 * (w0[is_int] - w1)
         n0 = nrm[is_int]
@@ -508,7 +542,7 @@ def _fluid_edge_jumps(mesh, spaces, mode, materials, coeff, geo, wc,
         sub = ~is_int
         # the sloshing flux residual needs the outward normal
         mids = mesh.vertices[mesh.edges[edges[sub]]].mean(axis=1)
-        cent = geo.centroid[pos[mesh.edge_tris[edges[sub], 0]]]
+        cent = geo.centroid[k0[sub]]
         flip = np.einsum("ec,ec->e", nrm[sub], mids - cent) < 0
         n0 = np.where(flip[:, None], -nrm[sub], nrm[sub])
         wn = np.einsum("eqc,ec->eq", w0[sub], n0)
@@ -526,9 +560,10 @@ def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                          materials: MaterialField,
                          quad_degree: int = DEFAULT_DEGREE,
                          projection_degree: int = DEFAULT_PROJECTION,
-                         edge_points: int = DEFAULT_EDGE_POINTS
-                         ) -> IndicatorSet:
-    """Stress-balance contributions on the interface."""
+                         edge_points: int = DEFAULT_EDGE_POINTS, *,
+                         proj: MuProjection = None) -> IndicatorSet:
+    """Stress-balance contributions on the interface; ``proj`` as in
+    ``solid_indicators``."""
     edges = mesh.edges_with_tag(INTERFACE)
     if not len(edges):
         return IndicatorSet(interface_edges=edges, eta2_E_I=np.zeros(0),
@@ -536,13 +571,13 @@ def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
     if mode.kappa <= 0:
         raise EstimatorError("kernel mode (omega = 0) has no interface "
                              "estimator weights")
+    if proj is None:
+        proj = project_mu(spaces, materials, projection_degree, quad_degree)
     tqe, wqe = el.edge_gauss(edge_points)
     solid_side = np.where(
         mesh.tri_tag[mesh.edge_tris[edges, 0]] == SOLID, 0, 1)
     fluid_side = 1 - solid_side
 
-    proj = project_mu(mesh, spaces.u_map.tris, materials,
-                      projection_degree, quad_degree)
     # one-sided solid traction; evaluate per side grouping
     traction = np.empty((len(edges), len(tqe), 2))
     mu_edge = np.empty((len(edges), len(tqe)))
@@ -550,11 +585,11 @@ def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
     for side in (0, 1):
         sel = solid_side == side
         if sel.any():
-            tr, mu, ln = _solid_stress_trace(mesh, spaces, mode, materials,
-                                             proj, edges[sel], side, tqe)
+            tr, mu, ln = _solid_stress_trace(mesh, spaces, mode, proj,
+                                             edges[sel], side, tqe)
             traction[sel], mu_edge[sel], length[sel] = tr, mu, ln
 
-    div_w = _fluid_div(spaces, mode.w[spaces.w_map.cell2dof])
+    _, div_w, _ = _fluid_eval(spaces, mode)
     fluid_tris = mesh.edge_tris[edges, fluid_side]
     div_tr = div_w[_positions(spaces.w_map.tris)[fluid_tris]]
     _, _, nrm, _ = _edge_frames(mesh, edges)
@@ -592,12 +627,17 @@ def estimate_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                   materials: MaterialField,
                   quad_degree: int = DEFAULT_DEGREE,
                   projection_degree: int = DEFAULT_PROJECTION):
-    """Convenience wrapper computing all three parts and the aggregate."""
+    """Convenience wrapper computing all three parts and the aggregate,
+    with the projection of mu built once for the solid and interface
+    parts."""
+    proj = project_mu(spaces, materials, projection_degree, quad_degree) \
+        if len(spaces.u_map.tris) else None
     parts = [solid_indicators(mesh, spaces, mode, materials, quad_degree,
-                              projection_degree)]
+                              projection_degree, proj=proj)]
     if len(spaces.w_map.tris):
         parts.append(fluid_indicators(mesh, spaces, mode, materials,
                                       quad_degree))
         parts.append(interface_indicators(mesh, spaces, mode, materials,
-                                          quad_degree, projection_degree))
+                                          quad_degree, projection_degree,
+                                          proj=proj))
     return global_estimate(*parts)

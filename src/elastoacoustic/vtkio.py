@@ -16,8 +16,14 @@ from .eigensolve import EigenPair
 from .meshing import Mesh
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
+def _rows(fmt: str, values: np.ndarray) -> str:
+    """One line ``fmt`` per row of ``values``, formatted in one call.
+
+    %-formatting of a float with %.17g gives the same text as
+    f"{x:.17g}", so a round trip stays lossless.
+    """
+    values = np.asarray(values)
+    return (fmt + "\n") * len(values) % tuple(values.ravel().tolist())
 
 
 def point_data_from_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair):
@@ -62,41 +68,35 @@ def export_fields(mesh: Mesh, mode: EigenPair, path, spaces: Spaces = None,
     u_pts, p_pts = point_data_from_mode(mesh, spaces, mode)
     w_cells = cell_data_from_mode(mesh, spaces, mode)
     nv, nt = mesh.num_vertices, mesh.num_triangles
-    lines = [
-        "# vtk DataFile Version 3.0",
-        f"coupled vibration mode omega={mode.omega:.10g}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {nv} double",
+    parts = [
+        "# vtk DataFile Version 3.0\n"
+        f"coupled vibration mode omega={mode.omega:.10g}\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {nv} double\n",
+        _rows("%.17g %.17g 0", mesh.vertices),
+        f"CELLS {nt} {4 * nt}\n",
+        _rows("3 %d %d %d", mesh.triangles),
+        f"CELL_TYPES {nt}\n",
+        "5\n" * nt,
+        f"POINT_DATA {nv}\n"
+        "VECTORS solid_displacement double\n",
+        _rows("%.17g %.17g 0", u_pts),
+        "SCALARS solid_pressure double 1\n"
+        "LOOKUP_TABLE default\n",
+        _rows("%.17g", p_pts),
+        f"CELL_DATA {nt}\n"
+        "VECTORS fluid_displacement double\n",
+        _rows("%.17g %.17g 0", w_cells),
+        "SCALARS subdomain int 1\n"
+        "LOOKUP_TABLE default\n",
+        _rows("%d", mesh.tri_tag),
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    lines.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
-    lines.append(f"POINT_DATA {nv}")
-    lines.append("VECTORS solid_displacement double")
-    for ux, uy in u_pts:
-        lines.append(f"{_fmt(ux)} {_fmt(uy)} 0")
-    lines.append("SCALARS solid_pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    for p in p_pts:
-        lines.append(_fmt(p))
-    lines.append(f"CELL_DATA {nt}")
-    lines.append("VECTORS fluid_displacement double")
-    for wx, wy in w_cells:
-        lines.append(f"{_fmt(wx)} {_fmt(wy)} 0")
-    lines.append("SCALARS subdomain int 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(t)) for t in mesh.tri_tag)
     if indicators is not None:
-        eta = indicators.element_totals(mesh)
-        lines.append("SCALARS eta2 double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in eta)
-    text = "\n".join(lines) + "\n"
+        parts += ["SCALARS eta2 double 1\n"
+                  "LOOKUP_TABLE default\n",
+                  _rows("%.17g", indicators.element_totals(mesh))]
+    text = "".join(parts)
     with open(path, "w") as f:
         f.write(text)
     return path

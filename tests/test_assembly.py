@@ -346,7 +346,7 @@ class TestScalingAndStability:
             # pressure mass from the (scaled) stability estimate
             q = el.quadrature(2)
             geo = el.tri_geometry(mesh, spaces.p_map.tris)
-            val, _, _ = el.scalar_tables(el.P1, geo, q.points)
+            val, _ = el.scalar_tables(el.P1, geo, q.points)
             dv = q.weights[None, :] * geo.det[:, None]
             Mloc = np.einsum("tq,qa,qb->tab", dv, val, val)
             for t in range(len(spaces.p_map.tris)):

@@ -86,7 +86,7 @@ class TestSolidResiduals:
     def test_weight_formula_on_uniform_state(self, omega1_n2):
         mats = MaterialField(E=1.0, nu=0.0000001 + 0.25)
         spaces = build_spaces(omega1_n2, "mini")
-        proj = est.project_mu(omega1_n2, spaces.u_map.tris, mats, 1)
+        proj = est.project_mu(spaces, mats, 1)
         mu = mats.mu(np.zeros((1, 2)))[0]
         assert_allclose(proj.coeff, mu, rtol=1e-12)
         assert_allclose(proj.grad, 0.0, atol=1e-12)
@@ -121,8 +121,7 @@ class TestFluidResiduals:
                                lambda x: np.tile([1.0, 0.0],
                                                  (len(x), 1)))
         mode = make_mode(spaces, 1.0, w=w)
-        coeff, geo, wc, div_w, rot_w = est._fluid_eval(fluid_square_n3,
-                                                       spaces, mode)
+        _, div_w, rot_w = est._fluid_eval(spaces, mode)
         assert np.abs(div_w).max() < 1e-12
         assert np.abs(rot_w).max() < 1e-12
 
@@ -133,8 +132,7 @@ class TestFluidResiduals:
                                lambda x: np.column_stack(
                                    [x[:, 1], np.zeros(len(x))]))
         mode = make_mode(spaces, 1.0, w=w)
-        _, _, _, div_w, rot_w = est._fluid_eval(fluid_square_n3, spaces,
-                                                mode)
+        _, div_w, rot_w = est._fluid_eval(spaces, mode)
         assert_allclose(rot_w, -1.0, atol=1e-12)
         assert_allclose(div_w, 0.0, atol=1e-12)
 
@@ -204,6 +202,91 @@ class TestBoundaryTangentialTerms:
                                                  ends[:, 1, 0])
         assert vertical.sum() == 2 * 3
         assert_allclose(part.eta2_J_F[vertical], 0.0, atol=1e-20)
+
+
+class TestContractFirstEvaluation:
+    """Fields contracted on the reference element and then mapped are
+    exact for the polynomials each space holds, on cells whose affine
+    maps all differ."""
+
+    @pytest.fixture(scope="class")
+    def bisected(self):
+        mesh = msh.build_cavity_mesh(msh.unit_square_solid(), 2)
+        mesh = msh.bisect(mesh, [0, 3, 5])
+        return msh.bisect(mesh, [1, 2, 8, 11])
+
+    def test_taylor_hood_quadratic(self, bisected):
+        spaces = build_spaces(bisected, "taylor-hood")
+        umap = spaces.u_map
+
+        def u_exact(x, y):
+            return (0.3 + 1.1 * x - 0.7 * y + 2.0 * x ** 2 - 1.3 * x * y
+                    + 0.4 * y ** 2,
+                    -0.2 + 0.5 * x + 0.9 * y - 0.6 * x ** 2 + 1.7 * x * y
+                    - 2.2 * y ** 2)
+
+        u = np.zeros(umap.ndof)
+        for dof in range(0, umap.ndof, 2):
+            eid = umap.entity_id[dof]
+            if umap.entity[dof] == 0:
+                x, y = bisected.vertices[eid]
+            else:
+                x, y = bisected.vertices[bisected.edges[eid]].mean(axis=0)
+            u[dof], u[dof + 1] = u_exact(x, y)
+        mode = make_mode(spaces, 0.0, u=u)
+        q = el.quadrature(est.DEFAULT_DEGREE)
+        geo = spaces.solid_geometry
+        assert len(np.unique(np.round(geo.jac, 12), axis=0)) > 4
+        u_val, u_grad, u_hess, _, _ = est._solid_fields(spaces, mode,
+                                                        q.points)
+        pts = el.physical_points(geo, q.points)
+        x, y = pts[..., 0], pts[..., 1]
+        assert_allclose(u_val, np.stack(u_exact(x, y), axis=-1),
+                        rtol=1e-12, atol=1e-12)
+        grad = np.stack([
+            np.stack([1.1 + 4.0 * x - 1.3 * y, -0.7 - 1.3 * x + 0.8 * y],
+                     axis=-1),
+            np.stack([0.5 - 1.2 * x + 1.7 * y, 0.9 + 1.7 * x - 4.4 * y],
+                     axis=-1)], axis=-2)
+        assert_allclose(u_grad, grad, rtol=1e-12, atol=1e-12)
+        hess = np.array([[[4.0, -1.3], [-1.3, 0.8]],
+                         [[-1.2, 1.7], [1.7, -4.4]]])
+        assert_allclose(u_hess, np.broadcast_to(hess, u_hess.shape),
+                        rtol=1e-11, atol=1e-11)
+        # the edge traces from both sides agree: no interior jump
+        part = est.solid_indicators(bisected, spaces, mode,
+                                    MaterialField(E=2.6, nu=0.3))
+        interior = bisected.edge_tag[part.solid_edges] == msh.INTERIOR
+        assert interior.sum() > 20
+        assert part.eta2_J_S[interior].max() < 1e-20
+
+    def test_mini_bubble_hessian(self, bisected):
+        spaces = build_spaces(bisected, "mini")
+        umap = spaces.u_map
+        k = 7                                  # one solid cell
+        tri = umap.tris[k]
+        dof = np.flatnonzero((umap.entity == 2) & (umap.entity_id == tri)
+                             & (umap.component == 0))[0]
+        u = np.zeros(umap.ndof)
+        u[dof] = 1.0
+        mode = make_mode(spaces, 0.0, u=u)
+        q = el.quadrature(est.DEFAULT_DEGREE)
+        _, _, u_hess, _, _ = est._solid_fields(spaces, mode, q.points)
+        # barycentric gradients g_i from the vertices: lambda = T^-1 (1, x, y)
+        xy = bisected.vertices[bisected.triangles[tri]]
+        T = np.vstack([np.ones(3), xy.T])
+        g = np.linalg.inv(T)[:, 1:]
+        lam = q.points
+        expected = np.zeros((len(lam), 2, 2))
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            pair = np.outer(g[a], g[b]) + np.outer(g[b], g[a])
+            expected += 27.0 * lam[:, c, None, None] * pair
+        scale = np.abs(expected).max()
+        assert_allclose(u_hess[k, :, 0], expected, rtol=0,
+                        atol=1e-12 * scale)
+        assert np.all(u_hess[k, :, 1] == 0.0)
+        others = np.arange(len(umap.tris)) != k
+        assert np.all(u_hess[others] == 0.0)
 
 
 class TestInterface:
@@ -309,3 +392,13 @@ class TestAggregation:
         lines = text.splitlines()
         assert lines[0] == "element,subdomain,eta2_volume,eta2_total"
         assert len(lines) == mesh.num_triangles + 1
+        # the same text as a row-by-row writer
+        sub = {int(t): "solid" for t in ind.solid_tris}
+        sub.update({int(t): "fluid" for t in ind.fluid_tris})
+        volume = np.zeros(mesh.num_triangles)
+        volume[ind.solid_tris] = ind.eta2_K_S
+        volume[ind.fluid_tris] = ind.eta2_K_F
+        totals = ind.element_totals(mesh)
+        rows = [f"{t},{sub.get(t, '?')},{volume[t]:.12e},{totals[t]:.12e}"
+                for t in range(mesh.num_triangles)]
+        assert lines[1:] == rows and text.endswith("\n")

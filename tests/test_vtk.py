@@ -10,6 +10,32 @@ from elastoacoustic.vtkio import (cell_data_from_mode, export_fields,
                                   point_data_from_mode)
 
 
+def reference_vtk(mesh, spaces, mode, indicators):
+    """The export written one value at a time with f"{x:.17g}"."""
+    u_pts, p_pts = point_data_from_mode(mesh, spaces, mode)
+    w_cells = cell_data_from_mode(mesh, spaces, mode)
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    lines = ["# vtk DataFile Version 3.0",
+             f"coupled vibration mode omega={mode.omega:.10g}",
+             "ASCII", "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    lines += [f"{x:.17g} {y:.17g} 0" for x, y in mesh.vertices]
+    lines.append(f"CELLS {nt} {4 * nt}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    lines.append(f"CELL_TYPES {nt}")
+    lines += ["5"] * nt
+    lines += [f"POINT_DATA {nv}", "VECTORS solid_displacement double"]
+    lines += [f"{ux:.17g} {uy:.17g} 0" for ux, uy in u_pts]
+    lines += ["SCALARS solid_pressure double 1", "LOOKUP_TABLE default"]
+    lines += [f"{p:.17g}" for p in p_pts]
+    lines += [f"CELL_DATA {nt}", "VECTORS fluid_displacement double"]
+    lines += [f"{wx:.17g} {wy:.17g} 0" for wx, wy in w_cells]
+    lines += ["SCALARS subdomain int 1", "LOOKUP_TABLE default"]
+    lines += [str(int(t)) for t in mesh.tri_tag]
+    lines += ["SCALARS eta2 double 1", "LOOKUP_TABLE default"]
+    lines += [f"{v:.17g}" for v in indicators.element_totals(mesh)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def parse_vtk(path):
     """Independent minimal reader for legacy ASCII unstructured grids."""
     with open(path) as f:
@@ -109,6 +135,15 @@ class TestVtkExport:
         data = parse_vtk(path)
         eta = data["cell_data"]["eta2"]
         assert_allclose(eta, ind.element_totals(mesh), rtol=1e-12)
+
+    def test_bytes_match_reference_writer(self, tmp_path, mode_setup,
+                                          materials):
+        mesh, sys_, mode = mode_setup
+        _, _, ind = estimate_mode(mesh, sys_.spaces, mode, materials)
+        path = tmp_path / "m.vtk"
+        export_fields(mesh, mode, path, sys_.spaces, ind)
+        assert path.read_bytes() == reference_vtk(mesh, sys_.spaces, mode,
+                                                  ind)
 
     def test_subdomain_field(self, tmp_path, mode_setup):
         mesh, sys_, mode = mode_setup
