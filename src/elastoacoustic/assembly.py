@@ -259,6 +259,9 @@ def _solid_tables(spaces, degree):
     return q, geo, val_u, grad_u, val_p, pts, dv
 
 
+CELL_BLOCK = 256          # cells per block of _point_sums' temporaries
+
+
 def _point_sums(w, left, right):
     """sum_q sum_r (w[t, q] left[t, q, i, r]) right[t, q, j, r], shape
     (nt, m, n); ``left`` and ``right`` may be reference tables of shape
@@ -269,15 +272,22 @@ def _point_sums(w, left, right):
     replaces, so the local matrices are the same to the bit.  A BLAS
     matmul sums in another order with fused multiply-adds and turns
     exact cancellations, such as the MINI vertex-bubble couplings under
-    a constant mu, into roundoff entries of the sparsity pattern.
+    a constant mu, into roundoff entries of the sparsity pattern.  Cells
+    go in blocks of CELL_BLOCK, so the temporaries stay small.
     """
-    out = np.zeros((len(w), left.shape[2], right.shape[2]))
-    for k in range(w.shape[1]):
-        wl = w[:, k, None, None] * left[:, k]
-        term = wl[:, :, None, 0] * right[:, k, None, :, 0]
-        for r in range(1, left.shape[3]):
-            term += wl[:, :, None, r] * right[:, k, None, :, r]
-        out += term
+    nt = len(w)
+    left = np.broadcast_to(left, (nt,) + left.shape[1:])
+    right = np.broadcast_to(right, (nt,) + right.shape[1:])
+    out = np.zeros((nt, left.shape[2], right.shape[2]))
+    for start in range(0, nt, CELL_BLOCK):
+        cells = slice(start, start + CELL_BLOCK)
+        acc, lb, rb = out[cells], left[cells], right[cells]
+        for k in range(w.shape[1]):
+            wl = w[cells, k, None, None] * lb[:, k]
+            term = wl[:, :, None, 0] * rb[:, k, None, :, 0]
+            for r in range(1, left.shape[3]):
+                term += wl[:, :, None, r] * rb[:, k, None, :, r]
+            acc += term
     return out
 
 
