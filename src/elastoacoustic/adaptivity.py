@@ -245,8 +245,7 @@ def adaptive_solve(config: RunConfig, mode_index: int = None,
         system = build_block_system(mesh, config.family, mats,
                                     config.assembly_degree)
         spaces = system.spaces
-        pairs, _ = solve_window(system, config.window, shift=config.shift,
-                                seed=config.seed)
+        pairs, _ = solve_window(system, config.window, seed=config.seed)
         if len(pairs) < mode_index:
             raise StudyError(f"adaptive iteration {iteration}: only "
                              f"{len(pairs)} modes in window")

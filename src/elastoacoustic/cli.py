@@ -9,8 +9,9 @@ Subcommands:
 
 Every run writes a JSON manifest with the resolved parameters and the
 package/dependency versions next to its outputs; ``solve`` adds the
-window's inertia count of eigenvalues and its work (rungs, sparse
-factorizations, inverse applications, largest factor fill).
+window's inertia count of eigenvalues, its work (Lanczos runs as
+``rungs``, sparse factorizations, inverse applications, largest factor
+fill), the runs' shifts and the largest residual of its pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ def _add_common(p):
     p.add_argument("--levels", help="comma-separated mesh levels N")
     p.add_argument("--modes", type=int, dest="n_modes",
                    help="number of modes")
-    p.add_argument("--shift", type=float, help="spectral shift (1/s^2)")
     p.add_argument("--theta", type=float, help="marking fraction")
     p.add_argument("--out", dest="out_dir", help="output directory")
 
@@ -54,8 +54,7 @@ def _config_from_args(args) -> RunConfig:
     else:
         cfg = RunConfig()
     overrides = {}
-    for key in ("geometry", "family", "nu", "n_modes", "shift", "theta",
-                "out_dir"):
+    for key in ("geometry", "family", "nu", "n_modes", "theta", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             overrides[key] = val
@@ -116,8 +115,7 @@ def cmd_solve(args) -> int:
     mesh = build_cavity_mesh(cfg.geometry_spec(), args.level)
     system = build_block_system(mesh, cfg.family, cfg.materials(),
                                 cfg.assembly_degree)
-    pairs, full = solve_window(system, cfg.window, shift=cfg.shift,
-                               seed=cfg.seed)
+    pairs, full = solve_window(system, cfg.window, seed=cfg.seed)
     pairs = pairs[:cfg.n_modes]
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w") as f:
@@ -145,7 +143,9 @@ def cmd_solve(args) -> int:
                                 "factorizations": full.factorizations,
                                 "inverse_applications":
                                     full.inverse_applications,
-                                "lu_nnz": full.lu_nnz}})
+                                "lu_nnz": full.lu_nnz,
+                                "shifts": list(full.shifts),
+                                "max_residual": full.max_residual}})
     return 0
 
 

@@ -44,7 +44,6 @@ class RunConfig:
     nu_list: tuple = ()
     # eigensolver
     n_modes: int = 4
-    shift: float = None
     window: tuple = (400.0, 2800.0)
     seed: int = 20260808
     # adaptivity
@@ -108,7 +107,7 @@ class RunConfig:
 
 _FLOAT_KEYS = {"fluid_width", "fluid_height", "wall", "wall_height",
                "step", "rho_s", "e_modulus", "nu", "rho_f", "c", "g",
-               "shift", "theta"}
+               "theta"}
 _INT_KEYS = {"assembly_degree", "estimator_degree", "projection_degree",
              "n_modes", "seed", "max_dofs", "max_iterations",
              "initial_level", "mode_index", "workers"}

@@ -1,19 +1,24 @@
 """Constrained symmetric generalized eigensolver.
 
 Solves A x = kappa B x subject to C x = 0 for the eigenvalues nearest a
-shift, via shift-invert Lanczos on the reduced pencil the system builds
-once (``BlockSystem.pencil``): with W = D Z, Z eliminating one fluid
-moment dof per interface row and D balancing the pressure block, every
-x = W y satisfies the constraint, and (W^T A W, W^T B W) is shared by
-all shifts solved on the system.  The shifted operator W^T (A - sigma B) W
-is symmetric in pattern and value, so each shift is factored in
-SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivots
-preferred; X. S. Li, ACM TOMS 31, 2005), which has less than half the
-fill of the default unsymmetric ordering.  ``count_below`` counts the
-eigenvalues below a shift by Sylvester's law of inertia: the negative
-pivots of a pivot-free LDL^T of the shifted operator, factored with a
-diagonal pivot threshold of 0.  At nu = 1/2 the pressure diagonal is
-exactly zero, so each zero-diagonal dof is ordered just after its last
+shift or just above it, via shift-invert Lanczos on the reduced pencil
+the system builds once (``BlockSystem.pencil``): with W = D Z, Z
+eliminating one fluid moment dof per interface row and D balancing the
+pressure block, every x = W y satisfies the constraint, and
+(W^T A W, W^T B W) is shared by all shifts solved on the system.
+Shift-invert maps each eigenvalue kappa to 1/(kappa - sigma), so the
+modes nearest sigma are the largest in magnitude and the modes just
+above sigma the largest algebraically; a solve above sigma leaves
+everything below it, the kappa = 0 kernel included, out of its Krylov
+space.  The shifted operator W^T (A - sigma B) W is symmetric in
+pattern and value, so each shift is factored in SuperLU's symmetric
+mode (minimum degree on A^T + A, diagonal pivots preferred; X. S. Li,
+ACM TOMS 31, 2005), which has less than half the fill of the default
+unsymmetric ordering.  ``count_below`` counts the eigenvalues below a
+shift by Sylvester's law of inertia: the negative pivots of a
+pivot-free LDL^T of the shifted operator, factored with a diagonal
+pivot threshold of 0.  At nu = 1/2 the pressure diagonal is exactly
+zero, so each zero-diagonal dof is ordered just after its last
 neighbour, where its pivot has filled in; a count whose factorization
 still pivots off the diagonal raises.  A dense reduction path doubles
 as the brute-force oracle for small systems, with an SVD null-space
@@ -68,6 +73,8 @@ class SpectrumReport:
     inverse_applications: int = 0  # solves with the factored operator
     rungs: int = 1                # shift-invert solves summed here
     window_count: int = None      # eigenvalues in the window, by inertia
+    shifts: tuple = ()            # a window's run shifts, in order
+    max_residual: float = None    # a window's largest accepted residual
 
     @property
     def kappas(self) -> np.ndarray:
@@ -176,14 +183,22 @@ def dense_oracle(system: BlockSystem) -> np.ndarray:
 
 def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
                  n_modes: int = 6, tol: float = 1e-9,
-                 seed: int = DEFAULT_SEED) -> SpectrumReport:
-    """Eigenpairs nearest the shift, ascending in kappa.
+                 seed: int = DEFAULT_SEED,
+                 above: bool = False) -> SpectrumReport:
+    """Eigenpairs nearest the shift, or with ``above`` the ``n_modes``
+    eigenpairs just above it, ascending in kappa.
 
     The shifted reduced operator is factored once and a Krylov space is
     iterated on its inverse applied to W^T B W (deterministic seeded
-    start vector, full reorthogonalization, Krylov dimension
-    min(n - 1, max(4 n_modes, n_modes + 12, 48), 220)).  Small systems
-    fall back to the dense reduction.  Eigenvectors are x = W y in the
+    start vector, full reorthogonalization).  Shift-invert maps each
+    eigenvalue kappa to 1/(kappa - sigma): the nearest modes are its
+    largest in magnitude, Krylov dimension
+    min(n - 1, max(4 n_modes, n_modes + 12, 48), 220); the modes above
+    sigma are its largest algebraically (ARPACK's "LA"), Krylov
+    dimension min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220) but
+    at least n_modes + 8, and everything below sigma, the kappa = 0
+    kernel included, is on the side ARPACK discards.  Small systems fall
+    back to the dense reduction.  Eigenvectors are x = W y in the
     system's own unknowns.  The report counts the factorizations, the
     largest factor fill and the inverse applications the solve made.
     """
@@ -194,8 +209,8 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
     kappas, notes, work = None, ["dense fallback"], {}
     if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
         try:
-            kappas, vecs, notes = _arpack_nearest(A, B, sigma, n_modes,
-                                                  tol, seed, work)
+            kappas, vecs, notes = _arpack(A, B, sigma, n_modes, tol, seed,
+                                          above, work)
         except spla.ArpackError as err:
             if n > ORACLE_CAP:
                 raise EigenSolveError(f"arpack failed: {err}") from err
@@ -203,7 +218,11 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
     if kappas is None:
         vals, vecs = _dense_constrained(A.toarray(), B.toarray(),
                                         want_vectors=True)
-        take = np.argsort(np.abs(vals - sigma), kind="stable")[:n_modes]
+        if above:
+            take = np.flatnonzero(vals > sigma)
+            take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
+        else:
+            take = np.argsort(np.abs(vals - sigma), kind="stable")[:n_modes]
         kappas, vecs = vals[take], vecs[:, take]
 
     pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
@@ -212,22 +231,26 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
                           **work)
 
 
-def _arpack_nearest(A, B, sigma, n_modes, tol, seed, work):
+def _arpack(A, B, sigma, n_modes, tol, seed, above, work):
     """ARPACK shift-invert solve; ``work`` receives the report's counts."""
     n = A.shape[0]
     notes = []
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    # the floor of 48 lets the 2-pair rungs at a window's low end converge
-    # next to the kappa ~ 0 kernel and sloshing cluster
-    ncv = min(n - 1, max(4 * n_modes, n_modes + 12, 48), 220)
+    if above:
+        ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220),
+                             n_modes + 8))
+    else:
+        # the floor of 48 lets a nearest-mode solve converge next to the
+        # kappa ~ 0 kernel and sloshing cluster
+        ncv = min(n - 1, max(4 * n_modes, n_modes + 12, 48), 220)
     shift = float(sigma)
     lu = None
     for attempt in range(4):
         work["factorizations"] = attempt + 1
         try:
-            # a diagonal pivot threshold of 0 makes the low-end rungs of
-            # MINI near nu = 1/2 stall; 0.01 does not
+            # a diagonal pivot threshold of 0 makes the solves next to
+            # the kernel cluster of MINI near nu = 1/2 stall; 0.01 does not
             lu = spla.splu((A - shift * B).tocsc(),
                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                            options={"SymmetricMode": True})
@@ -235,7 +258,8 @@ def _arpack_nearest(A, B, sigma, n_modes, tol, seed, work):
         except RuntimeError:
             notes.append(f"factorization failed at shift {shift:.6e}; "
                          "retrying with perturbed shift")
-            shift = shift * 1.02 + 1.0
+            # a solve above the shift moves down, so it skips no mode
+            shift = shift * 0.98 - 1.0 if above else shift * 1.02 + 1.0
     if lu is None:
         raise EigenSolveError("shifted operator could not be factored")
     work["lu_nnz"] = int(lu.nnz)
@@ -248,8 +272,9 @@ def _arpack_nearest(A, B, sigma, n_modes, tol, seed, work):
     op = spla.LinearOperator((n, n), matvec=inverse)
     try:
         vals, vecs = spla.eigsh(A, k=n_modes, M=B, sigma=shift,
-                                which="LM", v0=v0, ncv=ncv, tol=tol,
-                                OPinv=op, maxiter=max(400, 40 * n_modes))
+                                which="LA" if above else "LM", v0=v0,
+                                ncv=ncv, tol=tol, OPinv=op,
+                                maxiter=max(400, 40 * n_modes))
     except spla.ArpackNoConvergence as err:
         vals, vecs = err.eigenvalues, err.eigenvectors
         notes.append(f"arpack converged only {len(vals)}/{n_modes} pairs")
@@ -292,6 +317,9 @@ def count_below(system: BlockSystem, sigma: float, work=None) -> int:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigenSolveError(f"inertia count at shift {sigma:.6e}: the "
                               "factorization pivots off the diagonal")
+    # reading lu.U makes scipy cache CSC copies of L and U on the factor
+    # object, freed only with it, so a count's factor is not kept for a
+    # Lanczos run at the same shift
     return int((lu.U.diagonal() < 0.0).sum())
 
 

@@ -3,16 +3,15 @@
 The windowed spectral solve finds every eigenvalue in the requested
 frequency window.  Completeness is proved by a count: the negative
 pivots of an LDL^T factorization of the shifted pencil at the two ends
-of the window differ by the number of eigenvalues between them
-(Sylvester's law of inertia; spectrum slicing as in Ericsson & Ruhe,
-1980, and Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994),
-and the window is done once that many distinct pairs are found.  The
-pairs come from shift-invert rungs.  A rung at shift sigma that returns
-all of its k nearest pairs shows that no other eigenvalue lies strictly
-inside (sigma - d, sigma + d), d the distance of the farthest returned
-pair.  The parts of the window no rung has searched are kept as a list
-of open gaps, and each rung solves at the midpoint of the widest one;
-the gaps only order the search.
+of the window differ by the number N of eigenvalues between them
+(Sylvester's law of inertia), and the window is done once N distinct
+pairs are found.  The pairs come from spectrum slicing (Ericsson & Ruhe,
+Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
+15, 1994): a shift-invert run at the window's lower end asks for the N
+eigenvalues just above it, so the kappa = 0 kernel and everything else
+below the window lies on the side the run discards.  Only if a pair
+fails its residual test does a further run climb from the midpoint
+below it.
 """
 
 from __future__ import annotations
@@ -34,76 +33,65 @@ class StudyError(Exception):
     pass
 
 
-LANCZOS_TOL = 1e-12
+LANCZOS_TOL = 0.0         # ARPACK's machine precision
 RESIDUAL_TOL = 1e-7       # in-window pairs
-K_CAP = 128               # largest rung
 SAME_KAPPA = 1e-8         # relative distance below which two kappa are one
 SIGMA0 = 1.0              # first shift of lowest_physical
 SIGMA_CAP = 1e14          # lowest_physical gives up at this shift
 LOWEST_RESIDUAL_TOL = 1e-6  # pairs of lowest_physical
 
 
-def solve_window(system, omega_window, shift=None, seed=20260808):
+def solve_window(system, omega_window, seed=20260808):
     """Physical eigenpairs with omega inside the window, ascending.
 
     The window (k_lo, k_hi) in kappa = omega^2 holds
     N = count_below(k_hi) - count_below(k_lo) eigenvalues, and the
     search ends once N distinct pairs in it (residual <= RESIDUAL_TOL,
-    merged within SAME_KAPPA) are collected.  The open gaps only order
-    the search.  The window starts as one gap with rung size k = 2, and
-    each rung solves for the k pairs nearest the midpoint of the widest
-    gap, the lowest of gaps equally wide up to SAME_KAPPA k_hi (the
-    first rung at ``shift`` if given).  A rung returning all k pairs
-    removes (sigma - d, sigma + d) from every open gap, d the distance
-    of its farthest pair; the pieces left start again at k = 2.  A rung
-    returning fewer doubles k on its gap, and a gap still open at
-    k = K_CAP raises StudyError.  Pieces no wider than SAME_KAPPA times
-    their upper end are dropped, and a full rung at the midpoint leaves
-    at most half of its gap, so the gaps close.  If they close with a
-    number of pairs other than N, a member of a close or multiple pair
-    was missed, and StudyError names both numbers.  The window must
-    start above 0 rad/s: kappa = 0 is the fluid's curl kernel, where
-    the count is singular and the gaps never close.
+    merged within SAME_KAPPA) are kept.  The runs climb the window from
+    its lower end: a run at shift sigma, first k_lo, asks for the pairs
+    just above sigma, N minus those already kept below sigma.  If fewer
+    than N are kept, the next shift is the midpoint between the lowest
+    in-window Ritz value that failed the residual test (k_hi after a
+    partial run) and the highest kept pair, or sigma, below it.  A run
+    that adds no pair raises StudyError.  A run that returns all its
+    pairs and has none failing in the window has searched the window up
+    to k_hi, so if it closes with a number of pairs other than N, a
+    member of a close or multiple pair was missed, and StudyError names
+    both numbers.  The window must start above 0 rad/s: kappa = 0 is
+    the fluid's curl kernel, where the count is singular.
 
     Returns (pairs_in_window, full_filtered_report); the report carries
-    N as ``window_count`` and the number of rungs, sums the rungs' and
-    the counts' factorizations and the rungs' inverse applications, and
-    keeps the rungs' largest factor fill.
+    N as ``window_count``, the number of runs as ``rungs``, their shifts
+    as ``shifts`` and the largest residual of the window's pairs as
+    ``max_residual``, sums the runs' and the counts' factorizations and
+    the runs' inverse applications, and keeps the runs' largest factor
+    fill.
     """
     w_lo, w_hi = omega_window
     if not 0 < w_lo < w_hi:
         raise StudyError(f"invalid frequency window {omega_window}: it "
                          "must satisfy 0 < w_lo < w_hi")
     k_lo, k_hi = w_lo ** 2, w_hi ** 2
-    k_max = min(K_CAP, system.n - 2)
     counted = {}
     n_window = count_below(system, k_hi, counted) - \
         count_below(system, k_lo, counted)
     collected = {}
-    notes, requested, rungs = (), 0, 0
+    notes, requested, shifts = (), 0, []
     factorizations = counted["factorizations"]
     lu_nnz = inverse_applications = 0
 
     def in_window(p):
         return k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL
 
-    # Keeping k minimal per rung avoids dragging the expensive near-zero
-    # sloshing cluster into the Krylov space.
-    open_gaps = [(k_lo, k_hi, 2)]
-    found, center = 0, k_lo     # the report's shift if no rung is needed
-    while open_gaps and found < n_window:
-        # the two pieces a midpoint rung leaves are equally wide up to
-        # roundoff in its pairs, so widths within SAME_KAPPA k_hi count
-        # as one and the lower gap goes first, whatever the start vector
-        widest = max(g[1] - g[0] for g in open_gaps)
-        gap = min(g for g in open_gaps
-                  if g[1] - g[0] >= widest - SAME_KAPPA * k_hi)
-        lo, hi, k = gap
-        center = 0.5 * (lo + hi) if shift is None else shift
-        shift = None
-        report = solve_pencil(system, sigma=center, n_modes=k,
-                              tol=LANCZOS_TOL, seed=seed)
-        rungs += 1
+    def same(a, b):
+        return abs(a - b) <= SAME_KAPPA * max(abs(a), abs(b))
+
+    sigma, kept = k_lo, []
+    while len(kept) < n_window:
+        k = n_window - sum(kk < sigma for kk in kept)
+        report = solve_pencil(system, sigma=sigma, n_modes=k,
+                              tol=LANCZOS_TOL, seed=seed, above=True)
+        shifts.append(sigma)
         notes = notes + report.notes
         requested = max(requested, k)
         factorizations += report.factorizations
@@ -111,47 +99,47 @@ def solve_window(system, omega_window, shift=None, seed=20260808):
         inverse_applications += report.inverse_applications
         for p in report.pairs:
             for kk in list(collected):
-                if abs(kk - p.kappa) <= SAME_KAPPA * max(abs(kk),
-                                                         abs(p.kappa)):
+                if same(kk, p.kappa):
                     if p.residual < collected[kk].residual:
                         collected.pop(kk)
                         collected[p.kappa] = p
                     break
             else:
                 collected[p.kappa] = p
-        found = sum(map(in_window, collected.values()))
-        if len(report.pairs) < k:
-            if k >= k_max:
-                raise StudyError(
-                    f"gap ({np.sqrt(lo):.6g}, {np.sqrt(hi):.6g}) rad/s of "
-                    f"the window stays open: {len(report.pairs)} of {k} "
-                    f"pairs converged at shift {center:.6e}")
-            open_gaps[open_gaps.index(gap)] = (lo, hi, min(2 * k, k_max))
-            continue
-        d = max(abs(p.kappa - center) for p in report.pairs)
-        c_lo, c_hi = center - d, center + d
-        pieces = []
-        for g in open_gaps:
-            if g[1] <= c_lo or g[0] >= c_hi:
-                pieces.append(g)
-                continue
-            for a, b in ((g[0], min(g[1], c_lo)), (max(g[0], c_hi), g[1])):
-                if b - a > SAME_KAPPA * b:
-                    pieces.append((a, b, 2))
-        open_gaps = pieces
+        found = len(kept)
+        kept = [kk for kk, p in collected.items() if in_window(p)]
+        if len(kept) == found:
+            raise StudyError(
+                f"the run at shift {sigma:.6e} adds no pair to the window "
+                f"({w_lo:.6g}, {w_hi:.6g}) rad/s: {found} of {n_window} "
+                f"found, {len(report.pairs)} of {k} pairs converged")
+        failed = [p.kappa for p in report.pairs
+                  if sigma < p.kappa <= k_hi
+                  and not any(same(p.kappa, kk) for kk in kept)]
+        if failed:
+            top = min(failed)
+        elif len(report.pairs) < k:
+            top = k_hi
+        else:
+            break
+        sigma = 0.5 * (max([kk for kk in kept if kk < top] + [sigma])
+                       + top)
     merged = SpectrumReport(requested,
                             tuple(collected[kk] for kk in
                                   sorted(collected)),
-                            center, notes=notes,
+                            k_lo, notes=notes,
                             factorizations=factorizations, lu_nnz=lu_nnz,
                             inverse_applications=inverse_applications,
-                            rungs=rungs, window_count=n_window)
+                            rungs=len(shifts), window_count=n_window,
+                            shifts=tuple(shifts), max_residual=max(
+                                (collected[kk].residual for kk in kept),
+                                default=None))
     filtered = filter_modes(merged)
     pairs = [p for p in filtered.pairs if in_window(p)]
     if len(pairs) != n_window:
         raise StudyError(
             f"the inertia count puts {n_window} eigenvalues in the window "
-            f"({w_lo:.6g}, {w_hi:.6g}) rad/s, but its gaps closed with "
+            f"({w_lo:.6g}, {w_hi:.6g}) rad/s, but its runs closed with "
             f"{len(pairs)} found")
     return pairs, filtered
 
@@ -305,8 +293,7 @@ def _solve_level(config: RunConfig, N: int, nu=None):
     mesh = build_cavity_mesh(config.geometry_spec(), N)
     system = build_block_system(mesh, config.family, mats,
                                 config.assembly_degree)
-    pairs, _ = solve_window(system, config.window, shift=config.shift,
-                            seed=config.seed)
+    pairs, _ = solve_window(system, config.window, seed=config.seed)
     if len(pairs) < config.n_modes:
         raise StudyError(
             f"level N={N}: only {len(pairs)} physical modes in the window "

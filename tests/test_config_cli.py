@@ -55,6 +55,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[x]\nnot_a_key = 3\n")
 
+    def test_shift_key_rejected(self, tmp_path):
+        # the windowed solve places its own shifts at the window's lower
+        # end, so a configured shift is no longer a setting
+        path = tmp_path / "run.cfg"
+        path.write_text("[eigensolver]\nshift = 1e5\n")
+        with pytest.raises(ConfigError, match="unknown key 'shift'"):
+            load_config(path)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(theta=0.0)
@@ -74,10 +82,11 @@ class TestConfig:
 
     def test_overrides(self):
         cfg = RunConfig().with_overrides(nu=0.5, family="mini",
-                                         shift=None)
+                                         n_modes=None)
         assert cfg.nu == 0.5
         assert cfg.family == "mini"
-        assert cfg.shift is None
+        assert cfg.n_modes == RunConfig().n_modes
+        assert not hasattr(cfg, "shift")
 
     def test_out_dir_env_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("ELASTOACOUSTIC_OUTDIR", str(tmp_path))
@@ -139,10 +148,20 @@ class TestCli:
         assert work["count"] == sum(400.0 <= w <= 2800.0 for w in omegas)
         assert work["count"] >= 2
         assert work["rungs"] >= 1
-        # each rung factors its shift once, each end of the window once
+        # each run factors its shift once, each end of the window once
         assert work["factorizations"] >= work["rungs"] + 2
         assert work["inverse_applications"] > 0
         assert work["lu_nnz"] > 0
+        # the first run sits at the window's lower end, and each later
+        # run climbs above the one before it
+        assert len(work["shifts"]) == work["rungs"]
+        assert work["shifts"][0] == pytest.approx(400.0 ** 2, rel=1e-15)
+        assert work["shifts"] == sorted(work["shifts"])
+        residuals = [float(row.split(",")[3]) for row in spectrum
+                     if 400.0 <= float(row.split(",")[2]) <= 2800.0]
+        assert 0.0 < work["max_residual"] <= 1e-7
+        assert work["max_residual"] == pytest.approx(max(residuals),
+                                                     rel=1e-2)
 
     def test_study_subcommand_deterministic(self, tmp_path, capsys):
         args = ["study", "--geometry", "omega1", "--family", "mini",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
 from elastoacoustic.assembly import build_block_system, build_spaces
 from elastoacoustic.estimator import estimate_mode
@@ -144,6 +145,23 @@ class TestVtkExport:
         export_fields(mesh, mode, path, sys_.spaces, ind)
         assert path.read_bytes() == reference_vtk(mesh, sys_.spaces, mode,
                                                   ind)
+
+    def test_cell_average_matches_quadrature(self, mode_setup):
+        # the centroid value of the linear BDM field is its average,
+        # here against a degree-2 rule applied to the basis table
+        mesh, sys_, mode = mode_setup
+        wmap = sys_.spaces.w_map
+        coeff, geo = sys_.spaces.bdm
+        q = el.quadrature(2)
+        cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
+        vals, _ = el.bdm_eval(coeff, cpts)
+        wq = np.einsum("tqjc,tj->tqc", vals, mode.w[wmap.cell2dof])
+        average = 2.0 * np.einsum("q,tqc->tc", q.weights, wq)
+        w_cells = cell_data_from_mode(mesh, sys_.spaces, mode)
+        assert_allclose(w_cells[wmap.tris], average, rtol=0,
+                        atol=1e-14 * np.abs(average).max())
+        solid = np.setdiff1d(np.arange(mesh.num_triangles), wmap.tris)
+        assert np.all(w_cells[solid] == 0.0)
 
     def test_subdomain_field(self, tmp_path, mode_setup):
         mesh, sys_, mode = mode_setup
