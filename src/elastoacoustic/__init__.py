@@ -27,6 +27,6 @@ from .estimator import (IndicatorSet, Weights, solid_indicators,
 from .adaptivity import (AdaptiveHistory, mark, effectivity,
                          adaptive_solve)
 from .study import (ConvergenceTable, run_uniform_study, fit_rate,
-                    extrapolate, solve_window, lowest_physical)
+                    extrapolate, solve_window)
 from .config import RunConfig, load_config, parse_config
 from .vtkio import export_fields

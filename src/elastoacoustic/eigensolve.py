@@ -1,28 +1,29 @@
 """Constrained symmetric generalized eigensolver.
 
-Solves A x = kappa B x subject to C x = 0 for the eigenvalues nearest a
-shift or just above it, via shift-invert Lanczos on the reduced pencil
-the system builds once (``BlockSystem.pencil``): with W = D Z, Z
-eliminating one fluid moment dof per interface row and D balancing the
-pressure block, every x = W y satisfies the constraint, and
-(W^T A W, W^T B W) is shared by all shifts solved on the system.
-Shift-invert maps each eigenvalue kappa to 1/(kappa - sigma), so the
-modes nearest sigma are the largest in magnitude and the modes just
-above sigma the largest algebraically; a solve above sigma leaves
-everything below it, the kappa = 0 kernel included, out of its Krylov
-space.  The shifted operator W^T (A - sigma B) W is symmetric in
-pattern and value, so each shift is factored in SuperLU's symmetric
-mode (minimum degree on A^T + A, diagonal pivots preferred; X. S. Li,
-ACM TOMS 31, 2005), which has less than half the fill of the default
-unsymmetric ordering.  ``count_below`` counts the eigenvalues below a
-shift by Sylvester's law of inertia: the negative pivots of a
-pivot-free LDL^T of the shifted operator, factored with a diagonal
-pivot threshold of 0.  At nu = 1/2 the pressure diagonal is exactly
-zero, so each zero-diagonal dof is ordered just after its last
-neighbour, where its pivot has filled in; a count whose factorization
-still pivots off the diagonal raises.  A dense reduction path doubles
-as the brute-force oracle for small systems, with an SVD null-space
-basis of C in place of the elimination.
+Solves A x = kappa B x subject to C x = 0 for the eigenvalues just above
+a shift, via shift-invert Lanczos on the reduced pencil the system
+builds once (``BlockSystem.pencil``): with W = D Z, Z eliminating one
+fluid moment dof per interface row and D balancing the pressure block,
+every x = W y satisfies the constraint, and (W^T A W, W^T B W) is shared
+by all shifts solved on the system.  Shift-invert maps each eigenvalue
+kappa to 1/(kappa - sigma), so the modes just above sigma are the
+largest algebraically; everything below sigma, the kappa = 0 kernel
+included, stays out of the Krylov space.  This one-sided run is the only
+Lanczos solve: ``study.solve_window`` climbs a window with it from the
+window's lower end, and ``count_below`` proves the window complete.  The
+shifted operator W^T (A - sigma B) W is symmetric in pattern and value,
+so each shift is factored in SuperLU's symmetric mode (minimum degree on
+A^T + A, diagonal pivots preferred; X. S. Li, ACM TOMS 31, 2005), which
+has less than half the fill of the default unsymmetric ordering; a shift
+on which that factorization fails (sigma an eigenvalue) raises
+EigenSolveError.  ``count_below`` counts the eigenvalues below a shift
+by Sylvester's law of inertia: the negative pivots of a pivot-free LDL^T
+of the shifted operator, factored with a diagonal pivot threshold of 0.
+At nu = 1/2 the pressure diagonal is exactly zero, so each zero-diagonal
+dof is ordered just after its last neighbour, where its pivot has filled
+in; a count whose factorization still pivots off the diagonal raises.  A
+dense reduction path doubles as the brute-force oracle for small
+systems, with an SVD null-space basis of C in place of the elimination.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .assembly import (ORACLE_CAP, BlockSystem, equilibration,
                        svd_nullspace)
 
 DEFAULT_SEED = 20260808
-DEFAULT_SHIFT = (2.0 * np.pi * 50.0) ** 2   # below the first physical mode
-KERNEL_TOL = 1e-8
+KERNEL_TOL = 1e-8          # filter_modes' threshold (see there)
 # pressure-block eigenvalues below SPLIT_TOL times the largest are zero
 SPLIT_TOL = 1e-10
 
@@ -58,7 +58,7 @@ class EigenPair:
     p: np.ndarray             # solid pressure dofs
     x: np.ndarray             # reduced solution vector
     residual: float           # |W^T (A x - kappa B x)|, relative
-    kernel: bool = False
+    kernel: bool = False      # kappa = 0 mode; a run above sigma > 0 has none
 
 
 @dataclass(frozen=True)
@@ -181,26 +181,26 @@ def dense_oracle(system: BlockSystem) -> np.ndarray:
 # shift-invert Lanczos
 # ----------------------------------------------------------------------
 
-def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
-                 n_modes: int = 6, tol: float = 1e-9,
-                 seed: int = DEFAULT_SEED,
-                 above: bool = False) -> SpectrumReport:
-    """Eigenpairs nearest the shift, or with ``above`` the ``n_modes``
-    eigenpairs just above it, ascending in kappa.
+def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
+                 seed: int = DEFAULT_SEED) -> SpectrumReport:
+    """The ``n_modes`` eigenpairs just above the shift, ascending in
+    kappa.
 
     The shifted reduced operator is factored once and a Krylov space is
     iterated on its inverse applied to W^T B W (deterministic seeded
-    start vector, full reorthogonalization).  Shift-invert maps each
-    eigenvalue kappa to 1/(kappa - sigma): the nearest modes are its
-    largest in magnitude, Krylov dimension
-    min(n - 1, max(4 n_modes, n_modes + 12, 48), 220); the modes above
-    sigma are its largest algebraically (ARPACK's "LA"), Krylov
-    dimension min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220) but
-    at least n_modes + 8, and everything below sigma, the kappa = 0
-    kernel included, is on the side ARPACK discards.  Small systems fall
-    back to the dense reduction.  Eigenvectors are x = W y in the
-    system's own unknowns.  The report counts the factorizations, the
-    largest factor fill and the inverse applications the solve made.
+    start vector, full reorthogonalization, ARPACK's tolerance 0, i.e.
+    machine precision).  Shift-invert maps each eigenvalue kappa to
+    1/(kappa - sigma), so the modes above sigma are its largest
+    algebraically (ARPACK's "LA"), Krylov dimension
+    min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220) but at least
+    n_modes + 8, and everything below sigma, the kappa = 0 kernel
+    included, is on the side ARPACK discards.  A shift whose operator
+    cannot be factored raises EigenSolveError naming it.  Small systems,
+    and those up to the dense oracle's size on which ARPACK fails, take
+    the dense reduction and its ``n_modes`` smallest eigenvalues above
+    sigma.  Eigenvectors are x = W y in the system's own unknowns.  The
+    report counts the factorizations, the factor fill and the inverse
+    applications the solve made.
     """
     if n_modes < 1:
         raise EigenSolveError("n_modes must be >= 1")
@@ -209,8 +209,7 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
     kappas, notes, work = None, ["dense fallback"], {}
     if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
         try:
-            kappas, vecs, notes = _arpack(A, B, sigma, n_modes, tol, seed,
-                                          above, work)
+            kappas, vecs, notes = _arpack(A, B, sigma, n_modes, seed, work)
         except spla.ArpackError as err:
             if n > ORACLE_CAP:
                 raise EigenSolveError(f"arpack failed: {err}") from err
@@ -218,11 +217,8 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
     if kappas is None:
         vals, vecs = _dense_constrained(A.toarray(), B.toarray(),
                                         want_vectors=True)
-        if above:
-            take = np.flatnonzero(vals > sigma)
-            take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
-        else:
-            take = np.argsort(np.abs(vals - sigma), kind="stable")[:n_modes]
+        take = np.flatnonzero(vals > sigma)
+        take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
         kappas, vecs = vals[take], vecs[:, take]
 
     pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
@@ -231,37 +227,25 @@ def solve_pencil(system: BlockSystem, sigma: float = DEFAULT_SHIFT,
                           **work)
 
 
-def _arpack(A, B, sigma, n_modes, tol, seed, above, work):
+def _arpack(A, B, sigma, n_modes, seed, work):
     """ARPACK shift-invert solve; ``work`` receives the report's counts."""
     n = A.shape[0]
     notes = []
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
-    if above:
-        ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220),
-                             n_modes + 8))
-    else:
-        # the floor of 48 lets a nearest-mode solve converge next to the
-        # kappa ~ 0 kernel and sloshing cluster
-        ncv = min(n - 1, max(4 * n_modes, n_modes + 12, 48), 220)
-    shift = float(sigma)
-    lu = None
-    for attempt in range(4):
-        work["factorizations"] = attempt + 1
-        try:
-            # a diagonal pivot threshold of 0 makes the solves next to
-            # the kernel cluster of MINI near nu = 1/2 stall; 0.01 does not
-            lu = spla.splu((A - shift * B).tocsc(),
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                           options={"SymmetricMode": True})
-            break
-        except RuntimeError:
-            notes.append(f"factorization failed at shift {shift:.6e}; "
-                         "retrying with perturbed shift")
-            # a solve above the shift moves down, so it skips no mode
-            shift = shift * 0.98 - 1.0 if above else shift * 1.02 + 1.0
-    if lu is None:
-        raise EigenSolveError("shifted operator could not be factored")
+    ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
+    sigma = float(sigma)
+    work["factorizations"] = 1
+    try:
+        # a diagonal pivot below 0.01 of its column is swapped off the
+        # diagonal, which bounds element growth; such a factor gives no
+        # inertia, so count_below makes its own
+        lu = spla.splu((A - sigma * B).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                       options={"SymmetricMode": True})
+    except RuntimeError as err:
+        raise EigenSolveError(f"shift-invert factorization at shift "
+                              f"{sigma:.6e}: {err}") from err
     work["lu_nnz"] = int(lu.nnz)
     work["inverse_applications"] = 0
 
@@ -271,9 +255,8 @@ def _arpack(A, B, sigma, n_modes, tol, seed, above, work):
 
     op = spla.LinearOperator((n, n), matvec=inverse)
     try:
-        vals, vecs = spla.eigsh(A, k=n_modes, M=B, sigma=shift,
-                                which="LA" if above else "LM", v0=v0,
-                                ncv=ncv, tol=tol, OPinv=op,
+        vals, vecs = spla.eigsh(A, k=n_modes, M=B, sigma=sigma, which="LA",
+                                v0=v0, ncv=ncv, tol=0.0, OPinv=op,
                                 maxiter=max(400, 40 * n_modes))
     except spla.ArpackNoConvergence as err:
         vals, vecs = err.eigenvalues, err.eigenvectors
@@ -390,7 +373,11 @@ def filter_modes(report: SpectrumReport) -> SpectrumReport:
     Modes with kappa <= KERNEL_TOL * kappa_ref are flagged as kernel and
     removed from the physical list; kappa_ref is the largest requested
     eigenvalue scale, i.e. the larger of the top reported eigenvalue and
-    the shift.
+    the shift.  A run above a shift k_lo > 0 returns no kernel mode, so
+    in ``solve_window`` this drops nothing; it stays, with KERNEL_TOL,
+    ``EigenPair.kernel``, ``SpectrumReport.n_kernel`` and the CSV's
+    kernel_flag column, while perfbench's tracer (``LAYER_TARGETS``)
+    wraps it by name.
     """
     if not report.pairs:
         return report

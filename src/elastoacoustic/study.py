@@ -11,7 +11,8 @@ Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
 eigenvalues just above it, so the kappa = 0 kernel and everything else
 below the window lies on the side the run discards.  Only if a pair
 fails its residual test does a further run climb from the midpoint
-below it.
+below it.  Every run is of this one kind (``solve_pencil``), and a
+shift on which the count or the run cannot factor the operator raises.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ class StudyError(Exception):
     pass
 
 
-LANCZOS_TOL = 0.0         # ARPACK's machine precision
 RESIDUAL_TOL = 1e-7       # in-window pairs
 SAME_KAPPA = 1e-8         # relative distance below which two kappa are one
-SIGMA0 = 1.0              # first shift of lowest_physical
-SIGMA_CAP = 1e14          # lowest_physical gives up at this shift
-LOWEST_RESIDUAL_TOL = 1e-6  # pairs of lowest_physical
 
 
 def solve_window(system, omega_window, seed=20260808):
@@ -89,8 +86,7 @@ def solve_window(system, omega_window, seed=20260808):
     sigma, kept = k_lo, []
     while len(kept) < n_window:
         k = n_window - sum(kk < sigma for kk in kept)
-        report = solve_pencil(system, sigma=sigma, n_modes=k,
-                              tol=LANCZOS_TOL, seed=seed, above=True)
+        report = solve_pencil(system, sigma=sigma, n_modes=k, seed=seed)
         shifts.append(sigma)
         notes = notes + report.notes
         requested = max(requested, k)
@@ -142,69 +138,6 @@ def solve_window(system, omega_window, seed=20260808):
             f"({w_lo:.6g}, {w_hi:.6g}) rad/s, but its runs closed with "
             f"{len(pairs)} found")
     return pairs, filtered
-
-
-def lowest_physical(system, n, seed=20260808):
-    """The n smallest physical (non-kernel) eigenpairs.
-
-    The shift climbs from SIGMA0 by factors of 8.  A solve certifies the
-    range (0, 2 sigma): once a kernel-cluster member shows up among the
-    returned pairs, everything strictly closer to the shift - in
-    particular every physical eigenvalue below 2 sigma - has been
-    captured.  On kernel-free problems a fully-above-2-sigma return
-    certifies instead (the k nearest are then the k lowest).
-    """
-    k = max(2 * n + 4, 12)
-    k = min(k, max(system.n - 2, 1))
-    sigma = SIGMA0
-    candidates = {}
-
-    def merge(report):
-        for p in filter_modes(report).pairs:
-            if p.residual > 1e-3:
-                # smeared kernel copies and unconverged directions
-                continue
-            match = [kk for kk in candidates
-                     if abs(kk - p.kappa) <= 1e-7 * abs(kk)]
-            if match:
-                if p.residual < candidates[match[0]].residual:
-                    candidates.pop(match[0])
-                    candidates[p.kappa] = p
-            else:
-                candidates[p.kappa] = p
-
-    filtered = None
-    while sigma < SIGMA_CAP:
-        report = solve_pencil(system, sigma=sigma, n_modes=k,
-                              tol=LANCZOS_TOL, seed=seed)
-        filtered = filter_modes(report)
-        merge(report)
-        bag_contact = filtered.n_kernel >= 1
-        kappas = report.kappas
-        above = len(kappas) > 0 and kappas.min() >= 2.0 * sigma
-        certified = 2.0 * sigma if bag_contact else \
-            (np.inf if above else 0.0)
-        lowest = [kk for kk in sorted(candidates) if kk <= certified][:n]
-        if len(lowest) >= n:
-            # polish candidates whose vectors are not yet converged by
-            # re-solving with the shift next to them
-            for _ in range(6):
-                bad = [kk for kk in lowest
-                       if candidates[kk].residual > LOWEST_RESIDUAL_TOL]
-                if not bad:
-                    break
-                polish = bad[0] * 1.001 + 1e-6 * SIGMA0
-                merge(solve_pencil(system, sigma=polish,
-                                   n_modes=min(6, k), tol=LANCZOS_TOL,
-                                   seed=seed))
-                lowest = [kk for kk in sorted(candidates)
-                          if kk <= certified][:n]
-            pairs = [candidates[kk] for kk in lowest]
-            if all(p.residual <= LOWEST_RESIDUAL_TOL for p in pairs):
-                return pairs, filtered
-        sigma *= 8.0
-    raise StudyError(f"could not certify the {n} lowest physical modes "
-                     f"below shift {SIGMA_CAP:g}")
 
 
 # ----------------------------------------------------------------------

@@ -325,8 +325,8 @@ class TestScalingAndStability:
         # mode shapes are unchanged: the argmax dof of the first mode
         # survives the common density rescaling
         from elastoacoustic.eigensolve import solve_pencil
-        p1 = solve_pencil(s1, sigma=sel1[0], n_modes=1).pairs[0]
-        p2 = solve_pencil(s2, sigma=sel2[0], n_modes=1).pairs[0]
+        p1 = solve_pencil(s1, sigma=0.999 * sel1[0], n_modes=1).pairs[0]
+        p2 = solve_pencil(s2, sigma=0.999 * sel2[0], n_modes=1).pairs[0]
         assert np.argmax(np.abs(p1.x)) == np.argmax(np.abs(p2.x))
 
     def test_infsup_constant_does_not_degenerate(self, materials):

@@ -14,10 +14,11 @@ from elastoacoustic import eigensolve
 from elastoacoustic.eigensolve import (EigenSolveError, SpectrumReport,
                                        count_below, dense_oracle,
                                        filter_modes, solve_pencil)
-from elastoacoustic.study import StudyError, lowest_physical, solve_window
+from elastoacoustic.study import StudyError, solve_window
 
 
 class TestSolvePencil:
+    # every solve returns the n_modes eigenpairs just above sigma
     def test_diagonal_pencil(self):
         sys_ = BlockSystem.from_matrices(np.diag([2.0, 3.0]), np.eye(2))
         rep = solve_pencil(sys_, sigma=0.0, n_modes=2)
@@ -55,7 +56,7 @@ class TestSolvePencil:
 
     def test_invalid_mode_count(self, coupled_system_th):
         with pytest.raises(EigenSolveError):
-            solve_pencil(coupled_system_th, n_modes=0)
+            solve_pencil(coupled_system_th, sigma=4e6, n_modes=0)
 
     def test_shift_invariance(self, coupled_system_th):
         r1 = solve_pencil(coupled_system_th, sigma=3.0e6, n_modes=6)
@@ -112,8 +113,7 @@ class TestSolvePencil:
         sys_ = build_block_system(omega1_n1, family, materials)
         oracle = dense_oracle(sys_)
         for sigma, k in ((400.0 ** 2, 6), (3000.0 ** 2, 3)):
-            rep = solve_pencil(sys_, sigma=sigma, n_modes=k, tol=0.0,
-                               above=True)
+            rep = solve_pencil(sys_, sigma=sigma, n_modes=k)
             assert rep.notes == ()
             assert_allclose(rep.kappas, oracle[oracle > sigma][:k],
                             rtol=1e-9)
@@ -121,20 +121,20 @@ class TestSolvePencil:
     def test_above_dense_fallback(self):
         sys_ = BlockSystem.from_matrices(np.diag([1.0, 2.0, 3.0, 4.0]),
                                          np.eye(4))
-        rep = solve_pencil(sys_, sigma=2.0, n_modes=3, above=True)
+        rep = solve_pencil(sys_, sigma=2.0, n_modes=3)
         assert rep.notes == ("dense fallback",)
         assert_allclose(rep.kappas, [3.0, 4.0], rtol=1e-12)
-        rep = solve_pencil(sys_, sigma=1.5, n_modes=1, above=True)
+        rep = solve_pencil(sys_, sigma=1.5, n_modes=1)
         assert_allclose(rep.kappas, [2.0], rtol=1e-12)
 
-    def test_perturbed_shift_on_failure(self):
-        # sigma placed exactly on an eigenvalue: the factorization may
-        # degenerate; the solver retries and reports
-        A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0] + [7.0] * 30)
-        sys_ = BlockSystem.from_matrices(A, np.eye(36))
-        rep = solve_pencil(sys_, sigma=2.0, n_modes=2)
-        matched = [p.kappa for p in rep.pairs]
-        assert any(abs(k - 2.0) < 1e-8 for k in matched)
+    def test_failed_factorization_raises(self):
+        # sigma exactly on an eigenvalue makes the shifted operator
+        # singular; the system is large enough for the Lanczos path
+        sys_ = BlockSystem.from_matrices(np.diag(np.arange(1.0, 101.0)),
+                                         np.eye(100))
+        with pytest.raises(EigenSolveError,
+                           match="factorization at shift 2.000000e\\+00"):
+            solve_pencil(sys_, sigma=2.0, n_modes=2)
 
 
 class TestOracle:
@@ -170,8 +170,8 @@ class TestOracle:
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
     def test_oracle_equivalence(self, omega1_n1, family, nu):
-        # every converged pair from the iterative path matches a dense
-        # oracle eigenvalue to 1e-8 relative
+        # every pair of a window matches a dense oracle eigenvalue, and
+        # every oracle eigenvalue in the window is found
         mats = MaterialField(nu=nu)
         sys_ = build_block_system(omega1_n1, family, mats)
         assert sys_.n <= 2000
@@ -183,15 +183,13 @@ class TestOracle:
 
         # gravity (sloshing) branch: kappa ~ 30 against a stiffness norm
         # of ~1e10 puts the double-precision floor of either method near
-        # eps |A| / kappa ~ 1e-8, so the two paths agree to 5e-8 there
-        pairs, _ = lowest_physical(sys_, 6)
-        assert len(pairs) >= 6
-        hit = set()
-        for p in pairs[:6]:
-            idx = int(np.argmin(np.abs(phys - p.kappa)))
-            assert p.kappa == pytest.approx(phys[idx], rel=5e-8)
-            hit.add(idx)
-        assert hit == set(range(6))
+        # eps |A| / kappa ~ 1e-8, so the two paths agree to 5e-8 there;
+        # the window's count at kappa = 1 lies above the kernel
+        gravity = oracle[(oracle >= 1.0) & (oracle <= 14.0 ** 2)]
+        pairs, _ = solve_window(sys_, (1.0, 14.0))
+        assert len(gravity) >= 6
+        assert len(pairs) == len(gravity)
+        assert_allclose([p.kappa for p in pairs], gravity, rtol=5e-8)
 
         # elasto-acoustic branch: full 1e-8 agreement
         elastic = phys[phys > 1e4]
@@ -391,14 +389,14 @@ class TestWindowedDrivers:
         calls = []
 
         def nothing_converges(system, sigma, n_modes, **kw):
-            calls.append((sigma, n_modes, kw["above"]))
+            calls.append((sigma, n_modes))
             return SpectrumReport(n_modes, (), sigma,
                                   notes=("arpack converged only 0 pairs",))
 
         monkeypatch.setattr(study, "solve_pencil", nothing_converges)
         with pytest.raises(StudyError, match="adds no pair .* 0 of 4 found"):
             solve_window(coupled_system_th, (400.0, 2800.0))
-        assert calls == [(400.0 ** 2, 4, True)]
+        assert calls == [(400.0 ** 2, 4)]
 
     def test_failed_top_pair_climbs(self, coupled_system_th, monkeypatch):
         # the top pair of the first run fails its residual test, so a
@@ -426,6 +424,22 @@ class TestWindowedDrivers:
         assert rep.max_residual <= study.RESIDUAL_TOL
         assert_allclose([p.kappa for p in again],
                         [p.kappa for p in pairs], rtol=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=StudyError, reason=(
+        "solve_window merges the members of a multiple eigenvalue: the "
+        "run returns all 7 members of the cluster at kappa ~ 235.2 "
+        "(spread 7e-6 to 8e-5 in kappa), but pairs closer than "
+        "SAME_KAPPA = 1e-8 relative are kept as one, so the count of 15 "
+        "closes with 12"))
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    def test_multiple_eigenvalue_window(self, omega1_n1, materials, family):
+        sys_ = build_block_system(omega1_n1, family, materials)
+        k_lo, k_hi = 1.0, 150.0 ** 2
+        oracle = dense_oracle(sys_)
+        oracle = oracle[(oracle >= k_lo) & (oracle <= k_hi)]
+        pairs, _ = solve_window(sys_, (1.0, 150.0))
+        assert len(pairs) == len(oracle)
+        assert_allclose([p.kappa for p in pairs], oracle, rtol=5e-8)
 
     def test_rung_count_seed_invariant(self, materials, monkeypatch):
         # one run from the window's lower end finds the whole window,
