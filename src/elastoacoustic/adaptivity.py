@@ -115,10 +115,7 @@ def _locate(old_mesh: Mesh, old_map, new_mesh: Mesh, new_map, cells, pts):
         raise AdaptivityError("meshes are not nested")
     parent = new_mesh.parent[new_map.tris[cells]]
     # ancestors outside the old subdomain (or the old mesh) map to -1
-    pos = np.full(max(old_mesh.num_triangles, parent.max(initial=-1) + 1),
-                  -1, dtype=np.int64)
-    pos[old_map.tris] = np.arange(len(old_map.tris))
-    k = pos[parent]
+    k = el.tri_positions(old_map.tris, parent.max(initial=-1) + 1)[parent]
     if np.any(k < 0):
         raise AdaptivityError("meshes are not nested")
     bary = el.barycentric(el.tri_geometry(old_mesh, old_map.tris[k]), pts)

@@ -355,8 +355,7 @@ def _gamma0_edge_matrices(mesh, spaces, coeff, geo_f, materials):
     """g rho_f (w.n)(tau.n) on the free-surface edges, by edge quadrature."""
     g0 = mesh.edges_with_tag(GAMMA_0)
     tid = mesh.edge_tris[g0, 0]
-    fpos = _tri_positions(spaces.w_map)
-    k = fpos[tid]
+    k = el.tri_positions(spaces.w_map.tris)[tid]
     a = mesh.vertices[mesh.edges[g0, 0]]
     b = mesh.vertices[mesh.edges[g0, 1]]
     tang = b - a
@@ -372,12 +371,6 @@ def _gamma0_edge_matrices(mesh, spaces, coeff, geo_f, materials):
         Ke += grf * (w * length)[:, None, None] * \
             np.einsum("ei,ej->eij", vn, vn)
     return _symmetrize(Ke), spaces.w_map.cell2dof[k]
-
-
-def _tri_positions(dofmap):
-    pos = np.full(int(dofmap.tris.max(initial=-1)) + 1, -1, dtype=np.int64)
-    pos[dofmap.tris] = np.arange(len(dofmap.tris))
-    return pos
 
 
 def assemble_mass(mesh: Mesh, spaces: Spaces, materials: MaterialField,

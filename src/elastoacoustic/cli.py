@@ -11,7 +11,10 @@ Every run writes a JSON manifest with the resolved parameters and the
 package/dependency versions next to its outputs; ``solve`` adds the
 window's inertia count of eigenvalues, its work (Lanczos runs as
 ``rungs``, sparse factorizations, inverse applications, largest factor
-fill), the runs' shifts and the largest residual of its pairs.
+fill), the runs' shifts and the largest residual of its pairs.  Its
+``spectrum.csv`` holds every eigenpair of the window, one row each, as
+many as the count, while ``--modes`` limits the modes printed and
+exported.
 """
 
 from __future__ import annotations

@@ -457,6 +457,16 @@ def build_dofmap(mesh: Mesh, kind: ElementKind, subdomain) -> DofMap:
                   entity, entity_id, np.zeros(nscalar, dtype=np.int64))
 
 
+def tri_positions(tris, size=0) -> np.ndarray:
+    """Inverse of a dof map's ``tris``: entry t is the cell2dof row of
+    triangle t, -1 for a triangle outside it, over at least ``size``
+    entries."""
+    pos = np.full(max(size, int(tris.max(initial=-1)) + 1), -1,
+                  dtype=np.int64)
+    pos[tris] = np.arange(len(tris))
+    return pos
+
+
 # ----------------------------------------------------------------------
 # batched physical-element tables
 # ----------------------------------------------------------------------

@@ -362,7 +362,7 @@ def _edge_bary(tq):
 def _solid_stress_trace(mesh, spaces, mode, proj, edges, side, tq):
     """(2 mu_h eps(u) - p I) n at edge quadrature points, from one side."""
     tri = mesh.edge_tris[edges, side]
-    k = _positions(spaces.u_map.tris)[tri]
+    k = el.tri_positions(spaces.u_map.tris)[tri]
     _, _, nrm, length = _edge_frames(mesh, edges)
     local = np.argmax(mesh.tri_edges[tri] == edges[:, None], axis=1)
     place = 2 * local + (mesh.triangles[tri, (local + 1) % 3]
@@ -390,12 +390,6 @@ def _mu_at(proj: MuProjection, positions, bary):
         return np.broadcast_to(proj.coeff[positions],
                                bary.shape[:2]).copy()
     return np.einsum("ek,eqk->eq", proj.coeff[positions], bary)
-
-
-def _positions(ids):
-    pos = np.full(int(ids.max(initial=-1)) + 1, -1, dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
-    return pos
 
 
 def _solid_edge_jumps(mesh, spaces, mode, proj, edge_points):
@@ -497,7 +491,7 @@ def fluid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
 def _fluid_trace(mesh, spaces, mono, edges, side, tq):
     """w at edge quadrature points from one side, (ne, nq, 2)."""
     _, geo = spaces.bdm
-    k = _positions(spaces.w_map.tris)[mesh.edge_tris[edges, side]]
+    k = el.tri_positions(spaces.w_map.tris)[mesh.edge_tris[edges, side]]
     a, tang, nrm, length = _edge_frames(mesh, edges)
     pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
     w = _fluid_at(mono[k], pts - geo.centroid[k][:, None, :])
@@ -591,7 +585,7 @@ def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
 
     _, div_w, _ = _fluid_eval(spaces, mode)
     fluid_tris = mesh.edge_tris[edges, fluid_side]
-    div_tr = div_w[_positions(spaces.w_map.tris)[fluid_tris]]
+    div_tr = div_w[el.tri_positions(spaces.w_map.tris)[fluid_tris]]
     _, _, nrm, _ = _edge_frames(mesh, edges)
 
     c2rf = materials.c ** 2 * materials.rho_f

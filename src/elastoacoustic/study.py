@@ -4,15 +4,19 @@ The windowed spectral solve finds every eigenvalue in the requested
 frequency window.  Completeness is proved by a count: the negative
 pivots of an LDL^T factorization of the shifted pencil at the two ends
 of the window differ by the number N of eigenvalues between them
-(Sylvester's law of inertia), and the window is done once N distinct
-pairs are found.  The pairs come from spectrum slicing (Ericsson & Ruhe,
-Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl.
-15, 1994): a shift-invert run at the window's lower end asks for the N
-eigenvalues just above it, so the kappa = 0 kernel and everything else
-below the window lies on the side the run discards.  Only if a pair
-fails its residual test does a further run climb from the midpoint
-below it.  Every run is of this one kind (``solve_pencil``), and a
-shift on which the count or the run cannot factor the operator raises.
+(Sylvester's law of inertia).  The pairs come from spectrum slicing
+(Ericsson & Ruhe, Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J.
+Matrix Anal. Appl. 15, 1994): a shift-invert run at the window's lower
+end asks for the N eigenvalues just above it, so the kappa = 0 kernel
+and everything else below the window lies on the side the run
+discards.  Each run owns a slice of the window, from its shift to its
+lowest pair that fails the residual test, and only then does a further
+run climb from the midpoint below that pair, so no pair is found twice
+and none is merged.  The window is certified by its count, its
+residuals and the B-orthogonality of its vectors: exactly N pairs, each
+converged, no two of them the same mode.  Every run is of this one kind
+(``solve_pencil``), and a shift on which the count or the run cannot
+factor the operator raises.
 """
 
 from __future__ import annotations
@@ -35,34 +39,36 @@ class StudyError(Exception):
 
 
 RESIDUAL_TOL = 1e-7       # in-window pairs
-SAME_KAPPA = 1e-8         # relative distance below which two kappa are one
+GRAM_TOL = 0.5            # largest |x_i^T B x_j| of two kept pairs, i != j
 
 
 def solve_window(system, omega_window, seed=20260808):
     """Physical eigenpairs with omega inside the window, ascending.
 
     The window (k_lo, k_hi) in kappa = omega^2 holds
-    N = count_below(k_hi) - count_below(k_lo) eigenvalues, and the
-    search ends once N distinct pairs in it (residual <= RESIDUAL_TOL,
-    merged within SAME_KAPPA) are kept.  The runs climb the window from
-    its lower end: a run at shift sigma, first k_lo, asks for the pairs
-    just above sigma, N minus those already kept below sigma.  If fewer
-    than N are kept, the next shift is the midpoint between the lowest
-    in-window Ritz value that failed the residual test (k_hi after a
-    partial run) and the highest kept pair, or sigma, below it.  A run
-    that adds no pair raises StudyError.  A run that returns all its
-    pairs and has none failing in the window has searched the window up
-    to k_hi, so if it closes with a number of pairs other than N, a
-    member of a close or multiple pair was missed, and StudyError names
-    both numbers.  The window must start above 0 rad/s: kappa = 0 is
-    the fluid's curl kernel, where the count is singular.
+    N = count_below(k_hi) - count_below(k_lo) eigenvalues.  The runs
+    climb it from k_lo, and each owns a slice of it: a run at shift
+    sigma asks for the pairs just above sigma, N less those kept so far
+    (all below sigma), and keeps its in-window pairs from sigma up to
+    its lowest in-window pair whose residual exceeds RESIDUAL_TOL.  If
+    one fails, or the run is partial (its bound is then k_hi), the next
+    run starts at the midpoint between that bound and the highest kept
+    pair; otherwise the run has searched the window to k_hi and the
+    search ends.  A run that keeps no pair raises StudyError.  The
+    window is certified by its count, its residuals and the
+    B-orthogonality of its vectors, and StudyError names what fails:
+    exactly N pairs, each with a residual <= RESIDUAL_TOL, and no
+    off-diagonal entry of the B-Gram matrix of their B-normalised
+    vectors above GRAM_TOL, so a duplicate cannot stand in for a missed
+    pair.  The window must start above 0 rad/s: kappa = 0 is the
+    fluid's curl kernel, where the count is singular.
 
-    Returns (pairs_in_window, full_filtered_report); the report carries
-    N as ``window_count``, the number of runs as ``rungs``, their shifts
-    as ``shifts`` and the largest residual of the window's pairs as
-    ``max_residual``, sums the runs' and the counts' factorizations and
-    the runs' inverse applications, and keeps the runs' largest factor
-    fill.
+    Returns (pairs_in_window, report); the report holds exactly those
+    pairs and carries N as ``window_count``, the number of runs as
+    ``rungs``, their shifts as ``shifts`` and the largest residual of
+    the pairs as ``max_residual``, sums the runs' and the counts'
+    factorizations and the runs' inverse applications, and keeps the
+    runs' largest factor fill.
     """
     w_lo, w_hi = omega_window
     if not 0 < w_lo < w_hi:
@@ -72,72 +78,59 @@ def solve_window(system, omega_window, seed=20260808):
     counted = {}
     n_window = count_below(system, k_hi, counted) - \
         count_below(system, k_lo, counted)
-    collected = {}
-    notes, requested, shifts = (), 0, []
+    notes, requested, shifts, kept = (), 0, [], []
     factorizations = counted["factorizations"]
     lu_nnz = inverse_applications = 0
-
-    def in_window(p):
-        return k_lo <= p.kappa <= k_hi and p.residual <= RESIDUAL_TOL
-
-    def same(a, b):
-        return abs(a - b) <= SAME_KAPPA * max(abs(a), abs(b))
-
-    sigma, kept = k_lo, []
+    sigma = k_lo
     while len(kept) < n_window:
-        k = n_window - sum(kk < sigma for kk in kept)
-        report = solve_pencil(system, sigma=sigma, n_modes=k, seed=seed)
+        k = n_window - len(kept)
+        run = solve_pencil(system, sigma=sigma, n_modes=k, seed=seed)
         shifts.append(sigma)
-        notes = notes + report.notes
+        notes = notes + run.notes
         requested = max(requested, k)
-        factorizations += report.factorizations
-        lu_nnz = max(lu_nnz, report.lu_nnz)
-        inverse_applications += report.inverse_applications
-        for p in report.pairs:
-            for kk in list(collected):
-                if same(kk, p.kappa):
-                    if p.residual < collected[kk].residual:
-                        collected.pop(kk)
-                        collected[p.kappa] = p
-                    break
-            else:
-                collected[p.kappa] = p
-        found = len(kept)
-        kept = [kk for kk, p in collected.items() if in_window(p)]
-        if len(kept) == found:
+        factorizations += run.factorizations
+        lu_nnz = max(lu_nnz, run.lu_nnz)
+        inverse_applications += run.inverse_applications
+        failed = [p.kappa for p in run.pairs
+                  if sigma <= p.kappa <= k_hi and p.residual > RESIDUAL_TOL]
+        top = min(failed, default=k_hi)
+        mine = [p for p in run.pairs
+                if sigma <= p.kappa <= top and p.residual <= RESIDUAL_TOL]
+        if not mine:
             raise StudyError(
                 f"the run at shift {sigma:.6e} adds no pair to the window "
-                f"({w_lo:.6g}, {w_hi:.6g}) rad/s: {found} of {n_window} "
-                f"found, {len(report.pairs)} of {k} pairs converged")
-        failed = [p.kappa for p in report.pairs
-                  if sigma < p.kappa <= k_hi
-                  and not any(same(p.kappa, kk) for kk in kept)]
-        if failed:
-            top = min(failed)
-        elif len(report.pairs) < k:
-            top = k_hi
-        else:
+                f"({w_lo:.6g}, {w_hi:.6g}) rad/s: {len(kept)} of "
+                f"{n_window} found, {len(run.pairs)} of {k} pairs "
+                "converged")
+        kept += mine
+        if not failed and len(run.pairs) == k:
             break
-        sigma = 0.5 * (max([kk for kk in kept if kk < top] + [sigma])
-                       + top)
-    merged = SpectrumReport(requested,
-                            tuple(collected[kk] for kk in
-                                  sorted(collected)),
-                            k_lo, notes=notes,
-                            factorizations=factorizations, lu_nnz=lu_nnz,
-                            inverse_applications=inverse_applications,
-                            rungs=len(shifts), window_count=n_window,
-                            shifts=tuple(shifts), max_residual=max(
-                                (collected[kk].residual for kk in kept),
-                                default=None))
-    filtered = filter_modes(merged)
-    pairs = [p for p in filtered.pairs if in_window(p)]
+        sigma = 0.5 * (max(p.kappa for p in mine) + top)
+    report = filter_modes(SpectrumReport(
+        requested, tuple(kept), k_lo, notes=notes,
+        factorizations=factorizations, lu_nnz=lu_nnz,
+        inverse_applications=inverse_applications, rungs=len(shifts),
+        window_count=n_window, shifts=tuple(shifts),
+        max_residual=max((p.residual for p in kept), default=None)))
+    pairs = list(report.pairs)
     if len(pairs) != n_window:
         raise StudyError(
             f"the inertia count puts {n_window} eigenvalues in the window "
             f"({w_lo:.6g}, {w_hi:.6g}) rad/s, but its runs closed with "
             f"{len(pairs)} found")
-    return pairs, filtered
+    if len(pairs) > 1:
+        X = np.column_stack([p.x for p in pairs])
+        gram = np.abs(X.T @ (system.B @ X))
+        np.fill_diagonal(gram, 0.0)
+        i, j = sorted(np.unravel_index(np.argmax(gram), gram.shape))
+        if gram[i, j] > GRAM_TOL:
+            raise StudyError(
+                f"the pairs at kappa {pairs[i].kappa:.12e} and "
+                f"{pairs[j].kappa:.12e} in the window ({w_lo:.6g}, "
+                f"{w_hi:.6g}) rad/s are not B-orthogonal "
+                f"(|x_i^T B x_j| = {gram[i, j]:.3g}): one duplicates "
+                "the other")
+    return pairs, report
 
 
 # ----------------------------------------------------------------------

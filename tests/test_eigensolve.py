@@ -425,21 +425,49 @@ class TestWindowedDrivers:
         assert_allclose([p.kappa for p in again],
                         [p.kappa for p in pairs], rtol=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=StudyError, reason=(
-        "solve_window merges the members of a multiple eigenvalue: the "
-        "run returns all 7 members of the cluster at kappa ~ 235.2 "
-        "(spread 7e-6 to 8e-5 in kappa), but pairs closer than "
-        "SAME_KAPPA = 1e-8 relative are kept as one, so the count of 15 "
-        "closes with 12"))
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
-    def test_multiple_eigenvalue_window(self, omega1_n1, materials, family):
-        sys_ = build_block_system(omega1_n1, family, materials)
+    @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
+    def test_multiple_eigenvalue_window(self, omega1_n1, materials, family,
+                                        nu):
+        # the window holds a 7-fold cluster at kappa ~ 235.2 (spread
+        # 7e-6 to 8e-5 in kappa), and every member is kept.  For
+        # nu >= 0.49 only the count is checked: at nu = 0.49 the dense
+        # oracle's largest eigenvalue is about 1.9e12, so its absolute
+        # precision is about 4e-4, and it puts the lowest cluster member
+        # at 235.19992334 where runs at sigma = 235 and 200 give
+        # 235.19999034 and 235.19999010
+        sys_ = build_block_system(omega1_n1, family,
+                                  replace(materials, nu=nu))
         k_lo, k_hi = 1.0, 150.0 ** 2
         oracle = dense_oracle(sys_)
         oracle = oracle[(oracle >= k_lo) & (oracle <= k_hi)]
-        pairs, _ = solve_window(sys_, (1.0, 150.0))
-        assert len(pairs) == len(oracle)
-        assert_allclose([p.kappa for p in pairs], oracle, rtol=5e-8)
+        pairs, rep = solve_window(sys_, (1.0, 150.0))
+        assert len(pairs) == rep.window_count == len(oracle) == 15
+        if nu == 0.35:
+            assert_allclose([p.kappa for p in pairs], oracle, rtol=5e-8)
+
+    def test_duplicate_pair_raises(self, coupled_system_th, monkeypatch):
+        # a run that returns a second copy of mode 2 in place of mode 4,
+        # at a kappa 5e-8 relative above it and with an honest residual
+        # of 2.5e-8, meets the count of 4; the B-Gram matrix of the
+        # window's vectors shows the copy
+        runs = []
+
+        def duplicates_one(*args, **kw):
+            rep = solve_pencil(*args, **kw)
+            runs.append(rep)
+            if len(runs) == 1:
+                p = rep.pairs
+                copy = eigensolve._make_pair(
+                    coupled_system_th, p[1].kappa * (1 + 5e-8), p[1].x)
+                assert copy.residual <= study.RESIDUAL_TOL
+                rep = replace(rep, pairs=p[:2] + (copy,) + p[2:-1])
+            return rep
+
+        monkeypatch.setattr(study, "solve_pencil", duplicates_one)
+        with pytest.raises(StudyError, match="not B-orthogonal"):
+            solve_window(coupled_system_th, (400.0, 2800.0))
+        assert len(runs) == 1
 
     def test_rung_count_seed_invariant(self, materials, monkeypatch):
         # one run from the window's lower end finds the whole window,
