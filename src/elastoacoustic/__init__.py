@@ -21,9 +21,7 @@ from .assembly import (MaterialField, BlockSystem, Spaces, lame_from,
                        assemble_interface, build_block_system)
 from .eigensolve import (EigenPair, SpectrumReport, solve_pencil,
                          filter_modes, dense_oracle)
-from .estimator import (IndicatorSet, Weights, solid_indicators,
-                        fluid_indicators, interface_indicators,
-                        global_estimate, estimate_mode)
+from .estimator import IndicatorSet, Weights, estimate_mode
 from .adaptivity import (AdaptiveHistory, mark, effectivity,
                          adaptive_solve)
 from .study import (ConvergenceTable, run_uniform_study, fit_rate,

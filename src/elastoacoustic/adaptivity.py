@@ -166,10 +166,7 @@ def interpolate_mode(old_mesh: Mesh, old_spaces, mode: EigenPair,
         wmap = new_spaces.w_map
         dofs = np.arange(0, wmap.ndof, 2)
         eids = wmap.entity_id[dofs]
-        a = new_mesh.vertices[new_mesh.edges[eids, 0]]
-        tang = new_mesh.vertices[new_mesh.edges[eids, 1]] - a
-        nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+        a, tang, nrm, _ = new_mesh.edge_frames(eids)
         tq, wq = el.edge_gauss(3)
         pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
         k, _ = _locate(old_mesh, old_spaces.w_map, new_mesh, wmap,
@@ -212,21 +209,15 @@ def track_mode(prev_mesh, prev_spaces, prev_mode, mesh, spaces, system,
 # the adaptive loop
 # ----------------------------------------------------------------------
 
-def adaptive_solve(config: RunConfig, mode_index: int = None,
-                   theta: float = None, max_dofs: int = None,
-                   max_iterations: int = None, nu=None) -> AdaptiveHistory:
+def adaptive_solve(config: RunConfig, nu=None) -> AdaptiveHistory:
     """Iterate solve -> filter -> estimate -> mark -> bisect to a budget.
 
-    err is reported against config.reference_omega when supplied (the
-    mesh-independent extrapolated frequency), otherwise left empty.
+    The tracked mode, marking fraction and budgets come from ``config``;
+    ``nu`` overrides its Poisson ratio.  err is reported against
+    config.reference_omega when supplied (the mesh-independent
+    extrapolated frequency), otherwise left empty.
     """
-    mode_index = config.mode_index if mode_index is None else mode_index
-    theta = config.theta if theta is None else theta
-    max_dofs = config.max_dofs if max_dofs is None else max_dofs
-    max_iterations = config.max_iterations if max_iterations is None \
-        else max_iterations
-    if mode_index < 1:
-        raise AdaptivityError("mode_index counts from 1")
+    mode_index = config.mode_index
     nu_val = config.nu if nu is None else nu
     mats = config.materials(nu_val)
     ref = None
@@ -237,7 +228,7 @@ def adaptive_solve(config: RunConfig, mode_index: int = None,
                               mode_index)
     mesh = build_cavity_mesh(config.geometry_spec(), config.initial_level)
     prev = None
-    for iteration in range(max_iterations):
+    for iteration in range(config.max_iterations):
         t0 = time.perf_counter()
         system = build_block_system(mesh, config.family, mats,
                                     config.assembly_degree)
@@ -261,10 +252,11 @@ def adaptive_solve(config: RunConfig, mode_index: int = None,
                        eta2=eta2, theta2=theta2, err=err, eff=eff,
                        wall_time=time.perf_counter() - t0,
                        )
-        if system.n >= max_dofs or iteration == max_iterations - 1:
+        if system.n >= config.max_dofs or \
+                iteration == config.max_iterations - 1:
             break
         totals = indicators.element_totals(mesh)
-        marked = mark(np.sqrt(np.maximum(totals, 0.0)), theta)
+        marked = mark(np.sqrt(np.maximum(totals, 0.0)), config.theta)
         refined = bisect(mesh, marked)
         report = validate(refined)
         if not report.ok:

@@ -74,12 +74,11 @@ class MaterialField:
             return vals.reshape(x.shape[:-1])
         return np.full(x.shape[:-1], float(self.nu))
 
-    def mu(self, x) -> np.ndarray:
-        return self.young(x) / (2.0 * (1.0 + self.poisson(x)))
-
-    def inv_lambda(self, x) -> np.ndarray:
-        nu = self.poisson(x)
-        return (1.0 + nu) * (1.0 - 2.0 * nu) / (self.young(x) * nu)
+    def lame(self, x):
+        """Pointwise (mu, lambda^-1) from one evaluation of E and nu."""
+        E, nu = self.young(x), self.poisson(x)
+        return (E / (2.0 * (1.0 + nu)),
+                (1.0 + nu) * (1.0 - 2.0 * nu) / (E * nu))
 
 
 def _check_nu(nu):
@@ -92,8 +91,7 @@ def lame_from(materials: MaterialField, x):
     """Pointwise (mu, lambda^-1); lambda^-1 = 0 in the incompressible
     limit nu = 1/2."""
     x = np.atleast_2d(np.asarray(x, float))
-    mu = materials.mu(x)
-    il = materials.inv_lambda(x)
+    mu, il = materials.lame(x)
     if mu.size == 1:
         return float(mu.ravel()[0]), float(il.ravel()[0])
     return mu, il
@@ -307,8 +305,7 @@ def assemble_stiffness(mesh: Mesh, spaces: Spaces,
     if len(spaces.u_map.tris):
         q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(spaces,
                                                               degree)
-        muq = materials.mu(pts)
-        ilq = materials.inv_lambda(pts)
+        muq, ilq = materials.lame(pts)
         nt, nq, ns = grad_u.shape[:3]
         mdv = muq * dv
         S1 = _point_sums(mdv, grad_u, grad_u)
@@ -356,11 +353,7 @@ def _gamma0_edge_matrices(mesh, spaces, coeff, geo_f, materials):
     g0 = mesh.edges_with_tag(GAMMA_0)
     tid = mesh.edge_tris[g0, 0]
     k = el.tri_positions(spaces.w_map.tris)[tid]
-    a = mesh.vertices[mesh.edges[g0, 0]]
-    b = mesh.vertices[mesh.edges[g0, 1]]
-    tang = b - a
-    length = np.linalg.norm(tang, axis=1)
-    nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    a, tang, nrm, length = mesh.edge_frames(g0)
     tq, wq = el.edge_gauss(3)
     Ke = np.zeros((len(g0), 6, 6))
     grf = materials.g * materials.rho_f

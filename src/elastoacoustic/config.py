@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import meshing
 from .assembly import MaterialField, FAMILIES
+from .elements import MAX_QUAD_DEGREE
 
 
 class ConfigError(Exception):
@@ -64,6 +65,18 @@ class RunConfig:
             raise ConfigError(f"unknown geometry preset {self.geometry!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]")
+        for name in ("n_modes", "initial_level", "mode_index", "max_dofs",
+                     "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if any(level < 1 for level in self.levels):
+            raise ConfigError("levels must be at least 1")
+        for name in ("assembly_degree", "estimator_degree"):
+            if not 1 <= getattr(self, name) <= MAX_QUAD_DEGREE:
+                raise ConfigError(f"{name} must lie in [1, "
+                                  f"{MAX_QUAD_DEGREE}]")
+        if self.projection_degree not in (0, 1):
+            raise ConfigError("projection_degree must be 0 or 1")
         for name in ("rho_s", "e_modulus", "rho_f", "c", "g"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

@@ -322,6 +322,9 @@ def _collapsed_rule(n: int):
     return pts, wts
 
 
+MAX_QUAD_DEGREE = 8
+
+
 @lru_cache(maxsize=None)
 def quadrature(degree: int) -> QuadratureRule:
     """Symmetric positive-weight rule exact to the requested degree.
@@ -329,7 +332,7 @@ def quadrature(degree: int) -> QuadratureRule:
     Degrees 1..8 are supported (the estimator's refined cross-check needs
     degree 8).
     """
-    if not 1 <= int(degree) <= 8:
+    if not 1 <= int(degree) <= MAX_QUAD_DEGREE:
         raise ElementError("quadrature degree out of range [1, 8]")
     if degree in _DEGREE_TO_RULE:
         pts, wts = _RULES[_DEGREE_TO_RULE[int(degree)]]
@@ -545,11 +548,7 @@ def bdm_interpolate(mesh: Mesh, field) -> np.ndarray:
     coeff = np.zeros(dofmap.ndof)
     tq, wq = edge_gauss(5)
     zeta = np.stack([np.ones_like(tq), SQRT3 * (2.0 * tq - 1.0)])
-    a = mesh.vertices[mesh.edges[eids, 0]]
-    b = mesh.vertices[mesh.edges[eids, 1]]
-    tang = b - a
-    nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    a, tang, nrm, _ = mesh.edge_frames(eids)
     for q, (t, w) in enumerate(zip(tq, wq)):
         x = a + t * tang
         fn = np.einsum("ec,ec->e", np.asarray(field(x), float), nrm)

@@ -36,9 +36,13 @@ each edge takes the reference table of its placement, contracted with
 its triangle's coefficients before the same map.  The BDM fluid field
 is linear on each triangle, so its cell dofs are contracted with the
 basis coefficients of ``Spaces.bdm`` into six monomial coefficients
-first and evaluated at points after.  The projection of mu is built
-once per ``estimate_mode``, and the solid geometry comes from
-``Spaces.solid_geometry``.
+first and evaluated at points after.
+
+``estimate_mode`` computes one mode's estimate in one pass, which builds
+each of its tables once: E(x) and nu(x) at the solid quadrature points,
+the projection of mu, the fluid monomials with div w, the triangle
+positions of the u and w dof maps and the frames of each edge set.  The
+solid geometry comes from ``Spaces.solid_geometry``.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .meshing import (Mesh, SOLID, FLUID, INTERIOR, GAMMA_N, GAMMA_0,
                       INTERFACE)
 
 DEFAULT_DEGREE = 5
-DEFAULT_EDGE_POINTS = 3
+EDGE_POINTS = 3          # Gauss points per edge
 DEFAULT_PROJECTION = 1
 
 
@@ -63,17 +67,11 @@ class EstimatorError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class Weights:
-    """Coefficient weights evaluated pointwise (arrays broadcastable
-    against the residual quadrature grids)."""
-
-    rho1_s: object = None    # (2 mu_h)^(-1/2)
-    rho2_s: object = None    # [(2 mu_h)^-1 + lam^-1]^-1
-    rhoE_s: object = None    # (2 mu_h)^(-1/2) / sqrt(2)
-    rho_f: float = None      # (c^2 rho_f)^(-1/2)
-    rhoE_f: float = None     # min{rho_f, (omega^2 rho_f)^(-1/2)} / sqrt(2)
-    rho_i: object = None     # min{rhoE_f, rhoE_s}
+    """Coefficient weights evaluated pointwise: (2 mu_h)^(-1/2),
+    [(2 mu_h)^-1 + lam^-1]^-1 and (2 mu_h)^(-1/2) / sqrt(2) in the solid,
+    (c^2 rho_f)^(-1/2) and min{rho_f, (omega^2 rho_f)^(-1/2)} / sqrt(2)
+    in the fluid."""
 
     @staticmethod
     def solid(mu_h, inv_lambda):
@@ -106,7 +104,6 @@ class IndicatorSet:
     eta2_J_F: np.ndarray = None
     interface_edges: np.ndarray = None
     eta2_E_I: np.ndarray = None
-    mode_key: tuple = None
 
     @property
     def eta2(self) -> float:
@@ -148,17 +145,6 @@ class IndicatorSet:
             np.add.at(eta, t1, self.eta2_E_I)
         return eta
 
-    def merged_with(self, other: "IndicatorSet") -> "IndicatorSet":
-        if other.mode_key != self.mode_key:
-            raise EstimatorError("cannot merge indicator parts from "
-                                 "different modes")
-        data = {}
-        for name in self.__dataclass_fields__:
-            a = getattr(self, name)
-            b = getattr(other, name)
-            data[name] = a if b is None else b
-        return IndicatorSet(**data)
-
     def to_csv(self, mesh: Mesh) -> str:
         nt = mesh.num_triangles
         sub = np.full(nt, "?", dtype=object)
@@ -175,10 +161,6 @@ class IndicatorSet:
         rows = zip(range(nt), sub.tolist(), volume.tolist(), totals.tolist())
         return "element,subdomain,eta2_volume,eta2_total\n" \
             + "%d,%s,%.12e,%.12e\n" * nt % tuple(itertools.chain(*rows))
-
-
-def _mode_key(mode: EigenPair):
-    return (id(mode), mode.kappa)
 
 
 # ----------------------------------------------------------------------
@@ -205,17 +187,11 @@ class MuProjection:
         return np.einsum("tk,qk->tq", self.coeff, bary)
 
 
-def project_mu(spaces: Spaces, materials: MaterialField,
-               degree: int = DEFAULT_PROJECTION,
-               quad_degree: int = DEFAULT_DEGREE) -> MuProjection:
-    """Projection of mu on the solid triangles of ``spaces``."""
+def project_mu(geo, q, dv, muq, degree: int) -> MuProjection:
+    """Projection of mu, given as ``muq`` with volume weights ``dv`` at
+    the points of the rule ``q`` on the triangles ``geo``."""
     if degree not in (0, 1):
         raise EstimatorError("mu projection degree must be 0 or 1")
-    geo = spaces.solid_geometry
-    q = el.quadrature(quad_degree)
-    pts = el.physical_points(geo, q.points)
-    muq = materials.mu(pts)
-    dv = q.weights[None, :] * geo.det[:, None]
     if degree == 0:
         coeff = ((muq * dv).sum(axis=1) / geo.area)[:, None]
         return MuProjection(0, coeff, np.zeros((len(coeff), 2)))
@@ -278,39 +254,24 @@ def _strain(u_grad):
 
 
 # ----------------------------------------------------------------------
-# solid indicators
+# solid terms
 # ----------------------------------------------------------------------
 
-def solid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
-                     materials: MaterialField,
-                     quad_degree: int = DEFAULT_DEGREE,
-                     projection_degree: int = DEFAULT_PROJECTION,
-                     edge_points: int = DEFAULT_EDGE_POINTS, *,
-                     proj: MuProjection = None) -> IndicatorSet:
-    """Element residuals, data oscillation and solid-edge jumps.
-
-    ``proj`` is the projection of mu from ``project_mu``, built here when
-    not given.
-    """
-    if spaces.u_map.ndof and len(mode.u) != spaces.u_map.ndof:
-        raise EstimatorError("mode does not carry solid fields for these "
-                             "spaces")
-    tris = spaces.u_map.tris
-    if not len(tris):
-        return IndicatorSet(mode_key=_mode_key(mode))
-    if proj is None:
-        proj = project_mu(spaces, materials, projection_degree, quad_degree)
-    q = el.quadrature(quad_degree)
+def _solid_tables(spaces, materials, q, projection_degree):
+    """Volume weights, mu and lambda^-1 at the quadrature points of every
+    solid triangle (one evaluation of E and nu) and the projection of
+    mu."""
     geo = spaces.solid_geometry
+    dv = q.weights[None, :] * geo.det[:, None]
+    mu_q, il_q = materials.lame(el.physical_points(geo, q.points))
+    return dv, mu_q, il_q, project_mu(geo, q, dv, mu_q, projection_degree)
+
+
+def _solid_residuals(mesh, spaces, mode, rho_s, q, dv, mu_q, il_q, proj):
+    """Element residuals and data oscillation of the solid triangles."""
     u_val, u_grad, u_hess, p_val, p_grad = _solid_fields(spaces, mode,
                                                          q.points)
-    pts = el.physical_points(geo, q.points)
-    dv = q.weights[None, :] * geo.det[:, None]
     mu_h = proj.at(q.points)
-    mu_exact = materials.mu(pts)
-    il = materials.inv_lambda(pts)
-    kappa, rho_s = mode.kappa, materials.rho_s
-
     eps = _strain(u_grad)                      # (nt, nq, 2, 2)
     # div(2 mu_h eps(u)) = mu_h (lap u + grad div u) + 2 eps(u) grad mu_h
     lap_u = u_hess[..., 0, 0] + u_hess[..., 1, 1]        # (nt, nq, 2)
@@ -320,30 +281,17 @@ def solid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                         axis=-1)
     div_stress = mu_h[..., None] * (lap_u + grad_div) \
         + 2.0 * np.einsum("tqij,tj->tqi", eps, proj.grad)
-    R1 = div_stress - p_grad + kappa * rho_s * u_val
-    R2 = div_u + il * p_val
+    R1 = div_stress - p_grad + mode.kappa * rho_s * u_val
+    R2 = div_u + il_q * p_val
 
-    rho1, rho2, _ = Weights.solid(mu_h, il)
-    hK2 = mesh.tri_diameters(tris) ** 2
+    rho1, rho2, _ = Weights.solid(mu_h, il_q)
+    hK2 = mesh.tri_diameters(spaces.u_map.tris) ** 2
     eta_K = hK2 * np.einsum("tq,tq->t", dv, rho1 ** 2 *
                             np.einsum("tqi,tqi->tq", R1, R1)) \
         + np.einsum("tq,tq->t", dv, rho2 * R2 ** 2)
-    theta_K = np.einsum("tq,tq->t", dv, rho1 ** 2 * (mu_exact - mu_h) ** 2
+    theta_K = np.einsum("tq,tq->t", dv, rho1 ** 2 * (mu_q - mu_h) ** 2
                         * np.einsum("tqij,tqij->tq", eps, eps))
-
-    edges, eta_J = _solid_edge_jumps(mesh, spaces, mode, proj, edge_points)
-    return IndicatorSet(solid_tris=tris, eta2_K_S=eta_K,
-                        theta2_K_S=theta_K, solid_edges=edges,
-                        eta2_J_S=eta_J, mode_key=_mode_key(mode))
-
-
-def _edge_frames(mesh, edges):
-    a = mesh.vertices[mesh.edges[edges, 0]]
-    b = mesh.vertices[mesh.edges[edges, 1]]
-    tang = b - a
-    length = np.linalg.norm(tang, axis=1)
-    nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
-    return a, tang, nrm, length
+    return eta_K, theta_K
 
 
 def _edge_bary(tq):
@@ -359,11 +307,10 @@ def _edge_bary(tq):
     return bary
 
 
-def _solid_stress_trace(mesh, spaces, mode, proj, edges, side, tq):
-    """(2 mu_h eps(u) - p I) n at edge quadrature points, from one side."""
-    tri = mesh.edge_tris[edges, side]
-    k = el.tri_positions(spaces.u_map.tris)[tri]
-    _, _, nrm, length = _edge_frames(mesh, edges)
+def _solid_traction(mesh, spaces, mode, proj, upos, edges, tri, nrm, tq):
+    """(2 mu_h eps(u) - p I) n and mu_h at edge quadrature points, from
+    the solid triangle ``tri`` of each edge, with n its frame normal."""
+    k = upos[tri]
     local = np.argmax(mesh.tri_edges[tri] == edges[:, None], axis=1)
     place = 2 * local + (mesh.triangles[tri, (local + 1) % 3]
                          != mesh.edges[edges, 0])
@@ -382,7 +329,7 @@ def _solid_stress_trace(mesh, spaces, mode, proj, edges, side, tq):
     mu_h = _mu_at(proj, k, bary)
     eps_n = (_strain(u_grad) @ nrm[:, None, :, None])[..., 0]
     traction = 2.0 * mu_h[..., None] * eps_n - p[..., None] * nrm[:, None]
-    return traction, mu_h, length
+    return traction, mu_h
 
 
 def _mu_at(proj: MuProjection, positions, bary):
@@ -392,7 +339,9 @@ def _mu_at(proj: MuProjection, positions, bary):
     return np.einsum("ek,eqk->eq", proj.coeff[positions], bary)
 
 
-def _solid_edge_jumps(mesh, spaces, mode, proj, edge_points):
+def _solid_jumps(mesh, spaces, mode, proj, upos):
+    """Traction jumps on the interior solid edges and tractions on the
+    Neumann edges: (edges, eta2 per edge)."""
     tag = mesh.edge_tag
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     solid0 = mesh.tri_tag[np.clip(t0, 0, None)] == SOLID
@@ -401,16 +350,17 @@ def _solid_edge_jumps(mesh, spaces, mode, proj, edge_points):
     edges = np.flatnonzero(interior | neumann).astype(np.int32)
     if not len(edges):
         return edges, np.zeros(0)
-    tqe, wqe = el.edge_gauss(edge_points)
-    tr0, mu0, length = _solid_stress_trace(mesh, spaces, mode, proj, edges,
-                                           0, tqe)
+    tqe, wqe = el.edge_gauss(EDGE_POINTS)
+    _, _, nrm, length = mesh.edge_frames(edges)
+    tr0, mu0 = _solid_traction(mesh, spaces, mode, proj, upos, edges,
+                               t0[edges], nrm, tqe)
     is_int = interior[edges]
     J = tr0.copy()
     mu_edge = mu0.copy()
     if is_int.any():
         sub = edges[is_int]
-        tr1, mu1, _ = _solid_stress_trace(mesh, spaces, mode, proj, sub, 1,
-                                          tqe)
+        tr1, mu1 = _solid_traction(mesh, spaces, mode, proj, upos, sub,
+                                   t1[sub], nrm[is_int], tqe)
         J[is_int] = 0.5 * (tr0[is_int] - tr1)
         mu_edge[is_int] = 0.5 * (mu0[is_int] + mu1)
     rhoE2 = 1.0 / (2.0 * mu_edge) / 2.0        # (rho_E^S)^2 pointwise
@@ -420,7 +370,7 @@ def _solid_edge_jumps(mesh, spaces, mode, proj, edge_points):
 
 
 # ----------------------------------------------------------------------
-# fluid indicators
+# fluid terms
 # ----------------------------------------------------------------------
 
 def _fluid_eval(spaces, mode):
@@ -448,58 +398,29 @@ def _fluid_at(mono, cpts):
         + cpts[..., 1:2] * mono[:, None, 4:6]
 
 
-def fluid_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
-                     materials: MaterialField,
-                     quad_degree: int = DEFAULT_DEGREE,
-                     edge_points: int = DEFAULT_EDGE_POINTS) -> IndicatorSet:
-    """Element residuals and edge jumps on the fluid subdomain.
+def _fluid_residuals(mesh, spaces, kappa, rho_f, rf, q, mono, rot_w):
+    """Element residuals of the fluid triangles.
 
     The lowest-order fluid element has elementwise-constant divergence,
     so grad(div w) vanishes and the volume residual reduces to the
     omega^2 rho_f terms.
     """
-    if mode.kappa <= 0:
-        raise EstimatorError("kernel mode (omega = 0) has no fluid "
-                             "estimator weights")
-    tris = spaces.w_map.tris
-    if not len(tris):
-        return IndicatorSet(mode_key=_mode_key(mode))
     _, geo = spaces.bdm
-    mono, div_w, rot_w = _fluid_eval(spaces, mode)
-    q = el.quadrature(quad_degree)
     cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
     w_val = _fluid_at(mono, cpts)
     dv = q.weights[None, :] * geo.det[:, None]
-    kappa, rho_f = mode.kappa, materials.rho_f
-    rf, re = Weights.fluid(materials, kappa)
-
     # R1 = c^2 rho_f grad(div w) + kappa rho_f w; the first term is zero
     # elementwise for BDM1
     R1sq = (kappa * rho_f) ** 2 * np.einsum("tqc,tqc->tq", w_val, w_val)
     R2sq = (kappa * rho_f * rot_w) ** 2
-    hK2 = mesh.tri_diameters(tris) ** 2
-    eta_K = hK2 * rf ** 2 * (np.einsum("tq,tq->t", dv, R1sq)
-                             + R2sq * geo.area)
-
-    edges, eta_J = _fluid_edge_jumps(mesh, spaces, mode, materials, mono,
-                                     div_w, edge_points)
-    return IndicatorSet(fluid_tris=tris, eta2_K_F=eta_K,
-                        fluid_edges=edges, eta2_J_F=eta_J,
-                        mode_key=_mode_key(mode))
+    hK2 = mesh.tri_diameters(spaces.w_map.tris) ** 2
+    return hK2 * rf ** 2 * (np.einsum("tq,tq->t", dv, R1sq)
+                            + R2sq * geo.area)
 
 
-def _fluid_trace(mesh, spaces, mono, edges, side, tq):
-    """w at edge quadrature points from one side, (ne, nq, 2)."""
-    _, geo = spaces.bdm
-    k = el.tri_positions(spaces.w_map.tris)[mesh.edge_tris[edges, side]]
-    a, tang, nrm, length = _edge_frames(mesh, edges)
-    pts = a[:, None, :] + tq[None, :, None] * tang[:, None, :]
-    w = _fluid_at(mono[k], pts - geo.centroid[k][:, None, :])
-    return w, nrm, length, k
-
-
-def _fluid_edge_jumps(mesh, spaces, mode, materials, mono, div_w,
-                      edge_points):
+def _fluid_jumps(mesh, spaces, kappa, materials, re, mono, div_w, wpos):
+    """Jumps on the interior fluid edges and the sloshing flux residual
+    on the free surface: (edges, eta2 per edge)."""
     tag = mesh.edge_tag
     t0, t1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     fluid0 = mesh.tri_tag[np.clip(t0, 0, None)] == FLUID
@@ -509,20 +430,21 @@ def _fluid_edge_jumps(mesh, spaces, mode, materials, mono, div_w,
     if not len(edges):
         return edges, np.zeros(0)
     _, geo = spaces.bdm
-    kappa = mode.kappa
     c2rf = materials.c ** 2 * materials.rho_f
     rho_f = materials.rho_f
-    rf, re = Weights.fluid(materials, kappa)
-    tqe, wqe = el.edge_gauss(edge_points)
+    tqe, wqe = el.edge_gauss(EDGE_POINTS)
+    a, tang, nrm, length = mesh.edge_frames(edges)
+    pts = a[:, None, :] + tqe[None, :, None] * tang[:, None, :]
 
-    w0, nrm, length, k0 = _fluid_trace(mesh, spaces, mono, edges, 0, tqe)
+    k0 = wpos[t0[edges]]
+    w0 = _fluid_at(mono[k0], pts - geo.centroid[k0][:, None, :])
     div0 = div_w[k0]
     is_int = interior[edges]
     eta = np.zeros(len(edges))
 
     if is_int.any():
-        sub = edges[is_int]
-        w1, _, _, k1 = _fluid_trace(mesh, spaces, mono, sub, 1, tqe)
+        k1 = wpos[t1[edges[is_int]]]
+        w1 = _fluid_at(mono[k1], pts[is_int] - geo.centroid[k1][:, None, :])
         jump_div = 0.5 * c2rf * (div0[is_int] - div_w[k1])   # along n0
         dw = 0.5 * (w0[is_int] - w1)
         n0 = nrm[is_int]
@@ -547,91 +469,70 @@ def _fluid_edge_jumps(mesh, spaces, mode, materials, mono, div_w,
 
 
 # ----------------------------------------------------------------------
-# interface indicators
+# interface terms and the estimate
 # ----------------------------------------------------------------------
 
-def interface_indicators(mesh: Mesh, spaces: Spaces, mode: EigenPair,
-                         materials: MaterialField,
-                         quad_degree: int = DEFAULT_DEGREE,
-                         projection_degree: int = DEFAULT_PROJECTION,
-                         edge_points: int = DEFAULT_EDGE_POINTS, *,
-                         proj: MuProjection = None) -> IndicatorSet:
-    """Stress-balance contributions on the interface; ``proj`` as in
-    ``solid_indicators``."""
+def _interface_balance(mesh, spaces, mode, materials, re, proj, upos,
+                       div_w, wpos):
+    """Stress balance on the interface edges: (edges, eta2 per edge)."""
     edges = mesh.edges_with_tag(INTERFACE)
-    if not len(edges):
-        return IndicatorSet(interface_edges=edges, eta2_E_I=np.zeros(0),
-                            mode_key=_mode_key(mode))
-    if mode.kappa <= 0:
-        raise EstimatorError("kernel mode (omega = 0) has no interface "
-                             "estimator weights")
-    if proj is None:
-        proj = project_mu(spaces, materials, projection_degree, quad_degree)
-    tqe, wqe = el.edge_gauss(edge_points)
-    solid_side = np.where(
-        mesh.tri_tag[mesh.edge_tris[edges, 0]] == SOLID, 0, 1)
-    fluid_side = 1 - solid_side
-
-    # one-sided solid traction; evaluate per side grouping
-    traction = np.empty((len(edges), len(tqe), 2))
-    mu_edge = np.empty((len(edges), len(tqe)))
-    length = np.empty(len(edges))
-    for side in (0, 1):
-        sel = solid_side == side
-        if sel.any():
-            tr, mu, ln = _solid_stress_trace(mesh, spaces, mode, proj,
-                                             edges[sel], side, tqe)
-            traction[sel], mu_edge[sel], length[sel] = tr, mu, ln
-
-    _, div_w, _ = _fluid_eval(spaces, mode)
-    fluid_tris = mesh.edge_tris[edges, fluid_side]
-    div_tr = div_w[el.tri_positions(spaces.w_map.tris)[fluid_tris]]
-    _, _, nrm, _ = _edge_frames(mesh, edges)
+    tqe, wqe = el.edge_gauss(EDGE_POINTS)
+    _, _, nrm, length = mesh.edge_frames(edges)
+    t0, t1 = mesh.edge_tris[edges, 0], mesh.edge_tris[edges, 1]
+    solid0 = mesh.tri_tag[t0] == SOLID
+    traction, mu_edge = _solid_traction(mesh, spaces, mode, proj, upos,
+                                        edges, np.where(solid0, t0, t1),
+                                        nrm, tqe)
+    div_tr = div_w[wpos[np.where(solid0, t1, t0)]]
 
     c2rf = materials.c ** 2 * materials.rho_f
-    _, re = Weights.fluid(materials, mode.kappa)
     rhoE_s = 1.0 / np.sqrt(2.0 * mu_edge) / np.sqrt(2.0)
     rho_i = np.minimum(re, rhoE_s)
 
     balance = traction - c2rf * div_tr[:, None, None] * nrm[:, None, :]
     bal2 = np.einsum("eqi,eqi->eq", balance, balance)
     eta = length ** 2 * np.einsum("q,eq->e", wqe, rho_i ** 2 * bal2)
-    return IndicatorSet(interface_edges=edges, eta2_E_I=eta,
-                        mode_key=_mode_key(mode))
-
-
-# ----------------------------------------------------------------------
-# aggregation
-# ----------------------------------------------------------------------
-
-def global_estimate(*parts: IndicatorSet):
-    """Sum all element, edge and interface contributions of one mode.
-
-    Returns (eta2, theta2, merged IndicatorSet).
-    """
-    if not parts:
-        raise EstimatorError("no indicator parts given")
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merged_with(part)
-    return merged.eta2, merged.theta2, merged
+    return edges, eta
 
 
 def estimate_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                   materials: MaterialField,
                   quad_degree: int = DEFAULT_DEGREE,
                   projection_degree: int = DEFAULT_PROJECTION):
-    """Convenience wrapper computing all three parts and the aggregate,
-    with the projection of mu built once for the solid and interface
-    parts."""
-    proj = project_mu(spaces, materials, projection_degree, quad_degree) \
-        if len(spaces.u_map.tris) else None
-    parts = [solid_indicators(mesh, spaces, mode, materials, quad_degree,
-                              projection_degree, proj=proj)]
+    """The estimator of one mode in one pass: (eta2, theta2, IndicatorSet).
+
+    The interface terms need both subdomains; the arrays of a missing
+    part are None.  A kernel mode (omega = 0) has no estimator: its fluid
+    weights raise ``EstimatorError`` before any table is built.
+    """
+    rf, re = Weights.fluid(materials, mode.kappa)
+    q = el.quadrature(quad_degree)
+    parts = {}
+    if len(spaces.u_map.tris):
+        if len(mode.u) != spaces.u_map.ndof:
+            raise EstimatorError("mode does not carry solid fields for "
+                                 "these spaces")
+        dv, mu_q, il_q, proj = _solid_tables(spaces, materials, q,
+                                             projection_degree)
+        upos = el.tri_positions(spaces.u_map.tris)
+        eta_K, theta_K = _solid_residuals(mesh, spaces, mode,
+                                          materials.rho_s, q, dv, mu_q,
+                                          il_q, proj)
+        edges, eta_J = _solid_jumps(mesh, spaces, mode, proj, upos)
+        parts.update(solid_tris=spaces.u_map.tris, eta2_K_S=eta_K,
+                     theta2_K_S=theta_K, solid_edges=edges, eta2_J_S=eta_J)
     if len(spaces.w_map.tris):
-        parts.append(fluid_indicators(mesh, spaces, mode, materials,
-                                      quad_degree))
-        parts.append(interface_indicators(mesh, spaces, mode, materials,
-                                          quad_degree, projection_degree,
-                                          proj=proj))
-    return global_estimate(*parts)
+        mono, div_w, rot_w = _fluid_eval(spaces, mode)
+        wpos = el.tri_positions(spaces.w_map.tris)
+        eta_K = _fluid_residuals(mesh, spaces, mode.kappa, materials.rho_f,
+                                 rf, q, mono, rot_w)
+        edges, eta_J = _fluid_jumps(mesh, spaces, mode.kappa, materials, re,
+                                    mono, div_w, wpos)
+        parts.update(fluid_tris=spaces.w_map.tris, eta2_K_F=eta_K,
+                     fluid_edges=edges, eta2_J_F=eta_J)
+        if len(spaces.u_map.tris):
+            edges, eta_I = _interface_balance(mesh, spaces, mode, materials,
+                                              re, proj, upos, div_w, wpos)
+            parts.update(interface_edges=edges, eta2_E_I=eta_I)
+    indicators = IndicatorSet(**parts)
+    return indicators.eta2, indicators.theta2, indicators

@@ -147,6 +147,16 @@ class Mesh:
         return np.linalg.norm(self.vertices[e[:, 1]] - self.vertices[e[:, 0]],
                               axis=1)
 
+    def edge_frames(self, ids=None):
+        """Start point a, tangent t = b - a, unit normal (t_y, -t_x) / |t|
+        and length |t| of each edge a -> b."""
+        e = self.edges if ids is None else self.edges[ids]
+        a = self.vertices[e[:, 0]]
+        tang = self.vertices[e[:, 1]] - a
+        length = np.linalg.norm(tang, axis=1)
+        nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+        return a, tang, nrm, length
+
     def subdomain_tris(self, tag) -> np.ndarray:
         return np.flatnonzero(self.tri_tag == tag).astype(np.int32)
 

@@ -80,6 +80,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="window"):
             RunConfig(window=window)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_modes", 0), ("initial_level", 0), ("mode_index", 0),
+        ("max_dofs", 0), ("max_iterations", 0), ("levels", (2, 0)),
+        ("assembly_degree", 0), ("assembly_degree", 9),
+        ("estimator_degree", 0), ("estimator_degree", 9),
+        ("projection_degree", -1), ("projection_degree", 2)])
+    def test_out_of_range_count_or_degree_rejected(self, key, value):
+        # each of these failed late (or wrote an empty result) when a
+        # command ran with it
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
     def test_overrides(self):
         cfg = RunConfig().with_overrides(nu=0.5, family="mini",
                                          n_modes=None)

@@ -29,6 +29,18 @@ def th_mode(omega1_n2, materials):
     return omega1_n2, sys_.spaces, pairs[0]
 
 
+def solid_terms(mesh, spaces, mode, mats):
+    """The solid residuals and jumps without the pass's kappa check."""
+    q = el.quadrature(est.DEFAULT_DEGREE)
+    dv, mu_q, il_q, proj = est._solid_tables(spaces, mats, q,
+                                             est.DEFAULT_PROJECTION)
+    eta_K, _ = est._solid_residuals(mesh, spaces, mode, mats.rho_s, q, dv,
+                                    mu_q, il_q, proj)
+    edges, eta_J = est._solid_jumps(mesh, spaces, mode, proj,
+                                    el.tri_positions(spaces.u_map.tris))
+    return eta_K, edges, eta_J
+
+
 class TestWeights:
     def test_solid_weights(self):
         r1, r2, rE = est.Weights.solid(np.array(0.5), np.array(0.0))
@@ -76,18 +88,19 @@ class TestSolidResiduals:
             u[dof + 1] = -nu * y / (1.0 - nu)
         p = np.full(spaces.p_map.ndof, -lam * div_u)
         mode = make_mode(spaces, 0.0, u=u, p=p)
-        part = est.solid_indicators(omega1_n2, spaces, mode, mats)
+        eta_K, edges, eta_J = solid_terms(omega1_n2, spaces, mode, mats)
         scale = max(np.abs(u).max(), 1.0)
-        assert part.eta2_K_S.max() <= 1e-20 * scale
+        assert eta_K.max() <= 1e-20 * scale
         # interior stress is constant, so interior jumps vanish too
-        interior = omega1_n2.edge_tag[part.solid_edges] == msh.INTERIOR
-        assert part.eta2_J_S[interior].max() <= 1e-20 * scale
+        interior = omega1_n2.edge_tag[edges] == msh.INTERIOR
+        assert eta_J[interior].max() <= 1e-20 * scale
 
     def test_weight_formula_on_uniform_state(self, omega1_n2):
         mats = MaterialField(E=1.0, nu=0.0000001 + 0.25)
         spaces = build_spaces(omega1_n2, "mini")
-        proj = est.project_mu(spaces, mats, 1)
-        mu = mats.mu(np.zeros((1, 2)))[0]
+        q = el.quadrature(est.DEFAULT_DEGREE)
+        _, _, _, proj = est._solid_tables(spaces, mats, q, 1)
+        mu = mats.lame(np.zeros((1, 2)))[0][0]
         assert_allclose(proj.coeff, mu, rtol=1e-12)
         assert_allclose(proj.grad, 0.0, atol=1e-12)
 
@@ -99,8 +112,8 @@ class TestOscillation:
         # E linear in x with constant nu gives a globally linear mu
         mats = MaterialField(E=lambda x: 1.44e11 * (1.0 + 0.3 * x[:, 0]),
                              nu=0.35)
-        part = est.solid_indicators(mesh, spaces, mode, mats,
-                                    projection_degree=1)
+        _, _, part = est.estimate_mode(mesh, spaces, mode, mats,
+                                       projection_degree=1)
         scale = part.eta2_K_S.sum()
         assert part.theta2_K_S.sum() <= 1e-24 * scale
 
@@ -108,8 +121,8 @@ class TestOscillation:
         mesh, spaces, mode = th_mode
         mats = MaterialField(
             E=lambda x: 1.44e11 * (1.0 + 0.3 * x[:, 0] ** 2), nu=0.35)
-        part = est.solid_indicators(mesh, spaces, mode, mats,
-                                    projection_degree=1)
+        _, _, part = est.estimate_mode(mesh, spaces, mode, mats,
+                                       projection_degree=1)
         assert part.theta2_K_S.sum() > 0
 
 
@@ -140,7 +153,7 @@ class TestFluidResiduals:
         spaces = build_spaces(fluid_square_n3, "mini")
         mode = make_mode(spaces, 0.0)
         with pytest.raises(est.EstimatorError):
-            est.fluid_indicators(fluid_square_n3, spaces, mode, materials)
+            est.estimate_mode(fluid_square_n3, spaces, mode, materials)
 
     def test_gamma0_residual_reflects_boundary_condition(
             self, fluid_square_n3):
@@ -153,7 +166,7 @@ class TestFluidResiduals:
                                lambda x: np.column_stack(
                                    [np.zeros(len(x)), x[:, 1]]))
         mode = make_mode(spaces, 1.0, w=w)
-        part = est.fluid_indicators(fluid_square_n3, spaces, mode, mats)
+        _, _, part = est.estimate_mode(fluid_square_n3, spaces, mode, mats)
         g0 = fluid_square_n3.edges_with_tag(msh.GAMMA_0)
         top = [e for e in g0
                if np.allclose(fluid_square_n3.vertices[
@@ -184,7 +197,7 @@ class TestBoundaryTangentialTerms:
     def test_interface_zero_for_constant_field(self, omega1_n2, materials):
         spaces = build_spaces(omega1_n2, "taylor-hood")
         mode = self._vertical_mode(omega1_n2, spaces, 1.96e5)
-        part = est.interface_indicators(omega1_n2, spaces, mode, materials)
+        _, _, part = est.estimate_mode(omega1_n2, spaces, mode, materials)
         assert len(part.interface_edges)
         assert_allclose(part.eta2_E_I, 0.0, atol=1e-20)
 
@@ -194,7 +207,7 @@ class TestBoundaryTangentialTerms:
                              g=0.5)
         spaces = build_spaces(fluid_square_n3, "mini")
         mode = self._vertical_mode(fluid_square_n3, spaces, 1.0)
-        part = est.fluid_indicators(fluid_square_n3, spaces, mode, mats)
+        _, _, part = est.estimate_mode(fluid_square_n3, spaces, mode, mats)
         ends = fluid_square_n3.vertices[
             fluid_square_n3.edges[part.fluid_edges]]
         vertical = (fluid_square_n3.edge_tag[part.fluid_edges]
@@ -233,7 +246,7 @@ class TestContractFirstEvaluation:
             else:
                 x, y = bisected.vertices[bisected.edges[eid]].mean(axis=0)
             u[dof], u[dof + 1] = u_exact(x, y)
-        mode = make_mode(spaces, 0.0, u=u)
+        mode = make_mode(spaces, 1.0, u=u)
         q = el.quadrature(est.DEFAULT_DEGREE)
         geo = spaces.solid_geometry
         assert len(np.unique(np.round(geo.jac, 12), axis=0)) > 4
@@ -254,8 +267,8 @@ class TestContractFirstEvaluation:
         assert_allclose(u_hess, np.broadcast_to(hess, u_hess.shape),
                         rtol=1e-11, atol=1e-11)
         # the edge traces from both sides agree: no interior jump
-        part = est.solid_indicators(bisected, spaces, mode,
-                                    MaterialField(E=2.6, nu=0.3))
+        _, _, part = est.estimate_mode(bisected, spaces, mode,
+                                       MaterialField(E=2.6, nu=0.3))
         interior = bisected.edge_tag[part.solid_edges] == msh.INTERIOR
         assert interior.sum() > 20
         assert part.eta2_J_S[interior].max() < 1e-20
@@ -295,9 +308,8 @@ class TestInterface:
         kappa = 1.96e5
         p = np.ones(spaces.p_map.ndof)
         mode = make_mode(spaces, kappa, p=p)
-        part = est.interface_indicators(omega1_n2, spaces, mode,
-                                        materials)
-        mu = materials.mu(np.zeros((1, 2)))[0]
+        _, _, part = est.estimate_mode(omega1_n2, spaces, mode, materials)
+        mu = materials.lame(np.zeros((1, 2)))[0][0]
         rf, re = est.Weights.fluid(materials, kappa)
         rho_i = min(re, 1.0 / np.sqrt(2.0 * mu) / np.sqrt(2.0))
         h = omega1_n2.edge_lengths(part.interface_edges)
@@ -309,8 +321,8 @@ class TestInterface:
             mesh = msh.build_cavity_mesh(msh.omega1(), N)
             sys_ = build_block_system(mesh, "taylor-hood", materials)
             pairs, _ = solve_window(sys_, (400.0, 2800.0))
-            part = est.interface_indicators(mesh, sys_.spaces, pairs[0],
-                                            materials)
+            _, _, part = est.estimate_mode(mesh, sys_.spaces, pairs[0],
+                                           materials)
             assert (part.eta2_E_I > 0).any()
             sums.append(part.eta2_E_I.sum())
         assert sums[1] < sums[0]
@@ -327,23 +339,39 @@ class TestAggregation:
 
     def test_global_is_sum_of_parts(self, th_mode, materials):
         mesh, spaces, mode = th_mode
-        s = est.solid_indicators(mesh, spaces, mode, materials)
-        f = est.fluid_indicators(mesh, spaces, mode, materials)
-        i = est.interface_indicators(mesh, spaces, mode, materials)
-        eta2, theta2, merged = est.global_estimate(s, f, i)
-        manual = (s.eta2_K_S.sum() + s.eta2_J_S.sum()
-                  + f.eta2_K_F.sum() + f.eta2_J_F.sum()
-                  + i.eta2_E_I.sum())
+        eta2, theta2, ind = est.estimate_mode(mesh, spaces, mode, materials)
+        manual = (ind.eta2_K_S.sum() + ind.eta2_J_S.sum()
+                  + ind.eta2_K_F.sum() + ind.eta2_J_F.sum()
+                  + ind.eta2_E_I.sum())
         assert eta2 == pytest.approx(manual, rel=1e-14)
-        assert theta2 == pytest.approx(s.theta2_K_S.sum(), rel=1e-14)
+        assert theta2 == pytest.approx(ind.theta2_K_S.sum(), rel=1e-14)
 
-    def test_mixing_modes_rejected(self, th_mode, materials):
-        mesh, spaces, mode = th_mode
-        s = est.solid_indicators(mesh, spaces, mode, materials)
-        other = make_mode(spaces, 2.0)
-        f = est.fluid_indicators(mesh, spaces, other, materials)
+    def test_single_subdomain(self, materials):
+        solid = msh.build_cavity_mesh(msh.unit_square_solid(), 2)
+        spaces = build_spaces(solid, "taylor-hood")
+        u = np.sin(np.arange(spaces.u_map.ndof))
+        mode = make_mode(spaces, 1.0, u=u)
+        eta2, theta2, ind = est.estimate_mode(solid, spaces, mode, materials)
+        assert ind.fluid_tris is None and ind.eta2_K_F is None
+        assert ind.eta2_J_F is None and ind.eta2_E_I is None
+        assert eta2 > 0
+        assert eta2 == pytest.approx(ind.eta2_K_S.sum() + ind.eta2_J_S.sum(),
+                                     rel=1e-14)
+
+        fluid = msh.build_cavity_mesh(msh.unit_square_fluid(), 2)
+        spaces = build_spaces(fluid, "mini")
+        w = el.bdm_interpolate(fluid, lambda x: np.column_stack(
+            [x[:, 1] ** 2, x[:, 0] * x[:, 1]]))
+        eta2, theta2, ind = est.estimate_mode(
+            fluid, spaces, make_mode(spaces, 1.0, w=w), materials)
+        assert ind.solid_tris is None and ind.eta2_K_S is None
+        assert ind.eta2_J_S is None and ind.eta2_E_I is None
+        assert eta2 > 0 and theta2 == 0.0
+        assert eta2 == pytest.approx(ind.eta2_K_F.sum() + ind.eta2_J_F.sum(),
+                                     rel=1e-14)
         with pytest.raises(est.EstimatorError):
-            est.global_estimate(s, f)
+            est.estimate_mode(fluid, spaces, make_mode(spaces, 0.0, w=w),
+                              materials)
 
     def test_element_totals_attribution(self, th_mode, materials):
         mesh, spaces, mode = th_mode
