@@ -228,12 +228,16 @@ def adaptive_solve(config: RunConfig, nu=None) -> AdaptiveHistory:
                               mode_index)
     mesh = build_cavity_mesh(config.geometry_spec(), config.initial_level)
     prev = None
+    # the window count of the previous iteration guesses the next one's
+    expect = config.n_modes
     for iteration in range(config.max_iterations):
         t0 = time.perf_counter()
         system = build_block_system(mesh, config.family, mats,
                                     config.assembly_degree)
         spaces = system.spaces
-        pairs, _ = solve_window(system, config.window, seed=config.seed)
+        pairs, window = solve_window(system, config.window,
+                                     seed=config.seed, expect=expect)
+        expect = window.window_count
         if len(pairs) < mode_index:
             raise StudyError(f"adaptive iteration {iteration}: only "
                              f"{len(pairs)} modes in window")

@@ -598,8 +598,8 @@ class BlockSystem:
     @functools.cached_property
     def count_orders(self) -> dict:
         """Pivot-free orderings of the reduced pencil that
-        ``eigensolve.count_below`` has made, kept for the system's later
-        counts."""
+        ``eigensolve.ShiftFactor`` has made, kept for the system's later
+        factors."""
         return {}
 
     @classmethod

@@ -118,7 +118,8 @@ def cmd_solve(args) -> int:
     mesh = build_cavity_mesh(cfg.geometry_spec(), args.level)
     system = build_block_system(mesh, cfg.family, cfg.materials(),
                                 cfg.assembly_degree)
-    pairs, full = solve_window(system, cfg.window, seed=cfg.seed)
+    pairs, full = solve_window(system, cfg.window, seed=cfg.seed,
+                               expect=cfg.n_modes)
     pairs = pairs[:cfg.n_modes]
     csv_path = os.path.join(out, "spectrum.csv")
     with open(csv_path, "w") as f:
@@ -148,6 +149,9 @@ def cmd_solve(args) -> int:
                                     full.inverse_applications,
                                 "lu_nnz": full.lu_nnz,
                                 "shifts": list(full.shifts),
+                                "asked": list(full.asked),
+                                "dense_fallback": full.dense_fallback,
+                                "partial": full.partial,
                                 "max_residual": full.max_residual}})
     return 0
 

@@ -10,20 +10,22 @@ kappa to 1/(kappa - sigma), so the modes just above sigma are the
 largest algebraically; everything below sigma, the kappa = 0 kernel
 included, stays out of the Krylov space.  This one-sided run is the only
 Lanczos solve: ``study.solve_window`` climbs a window with it from the
-window's lower end, and ``count_below`` proves the window complete.  The
-shifted operator W^T (A - sigma B) W is symmetric in pattern and value,
-so each shift is factored in SuperLU's symmetric mode (minimum degree on
-A^T + A, diagonal pivots preferred; X. S. Li, ACM TOMS 31, 2005), which
-has less than half the fill of the default unsymmetric ordering; a shift
-on which that factorization fails (sigma an eigenvalue) raises
-EigenSolveError.  ``count_below`` counts the eigenvalues below a shift
-by Sylvester's law of inertia: the negative pivots of a pivot-free LDL^T
-of the shifted operator, factored with a diagonal pivot threshold of 0.
-At nu = 1/2 the pressure diagonal is exactly zero, so each zero-diagonal
-dof is ordered just after its last neighbour, where its pivot has filled
-in; a count whose factorization still pivots off the diagonal raises.  A
-dense reduction path doubles as the brute-force oracle for small
-systems, with an SVD null-space basis of C in place of the elimination.
+window's lower end.  Each shift is factored once (``ShiftFactor``), and
+the factor serves twice, as in spectrum slicing (Grimes, Lewis & Simon,
+SIAM J. Matrix Anal. Appl. 15, 1994): its inverse drives the runs at the
+shift, and its negative pivots count the eigenvalues below the shift by
+Sylvester's law of inertia (``count_below`` makes a factor for a count
+alone).  The shifted operator W^T (A - sigma B) W is symmetric in pattern
+and value, so it is factored as a pivot-free LDL^T in SuperLU's
+symmetric mode with a diagonal pivot threshold of 0 (minimum degree on
+A^T + A; X. S. Li, ACM TOMS 31, 2005), which has less than half the fill
+of the default unsymmetric ordering.  At nu = 1/2 the pressure diagonal
+is exactly zero, so each zero-diagonal dof is ordered just after its
+last neighbour, where its pivot has filled in.  A shift whose
+factorization fails (sigma an eigenvalue) or still pivots off the
+diagonal raises EigenSolveError.  A dense reduction path doubles as the
+brute-force oracle for small systems, with an SVD null-space basis of C
+in place of the elimination.
 """
 
 from __future__ import annotations
@@ -68,13 +70,16 @@ class SpectrumReport:
     shift: float
     n_kernel: int = 0
     notes: tuple = ()
-    factorizations: int = 0       # sparse LU factorizations of A - sigma B
+    factorizations: int = 0       # sparse LDL^T factorizations made
     lu_nnz: int = 0               # fill of the factors, SuperLU.nnz
     inverse_applications: int = 0  # solves with the factored operator
     rungs: int = 1                # shift-invert solves summed here
     window_count: int = None      # eigenvalues in the window, by inertia
     shifts: tuple = ()            # a window's run shifts, in order
+    asked: tuple = ()             # the pairs each of those runs asked for
     max_residual: float = None    # a window's largest accepted residual
+    dense_fallback: bool = False  # a run took the dense reduction
+    partial: bool = False         # a run converged fewer pairs than asked
 
     @property
     def kappas(self) -> np.ndarray:
@@ -178,137 +183,77 @@ def dense_oracle(system: BlockSystem) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# shift-invert Lanczos
+# one pivot-free factorization per shift
 # ----------------------------------------------------------------------
 
-def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
-                 seed: int = DEFAULT_SEED) -> SpectrumReport:
-    """The ``n_modes`` eigenpairs just above the shift, ascending in
-    kappa.
+class ShiftFactor:
+    """A pivot-free LDL^T of W^T (A - sigma B) W, serving both the
+    shift-invert runs at sigma and the inertia count there.
 
-    The shifted reduced operator is factored once and a Krylov space is
-    iterated on its inverse applied to W^T B W (deterministic seeded
-    start vector, full reorthogonalization, ARPACK's tolerance 0, i.e.
-    machine precision).  Shift-invert maps each eigenvalue kappa to
-    1/(kappa - sigma), so the modes above sigma are its largest
-    algebraically (ARPACK's "LA"), Krylov dimension
-    min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220) but at least
-    n_modes + 8, and everything below sigma, the kappa = 0 kernel
-    included, is on the side ARPACK discards.  A shift whose operator
-    cannot be factored raises EigenSolveError naming it.  Small systems,
-    and those up to the dense oracle's size on which ARPACK fails, take
-    the dense reduction and its ``n_modes`` smallest eigenvalues above
-    sigma.  Eigenvectors are x = W y in the system's own unknowns.  The
-    report counts the factorizations, the factor fill and the inverse
-    applications the solve made.
-    """
-    if n_modes < 1:
-        raise EigenSolveError("n_modes must be >= 1")
-    W, A, B = system.pencil
-    n = A.shape[0]
-    kappas, notes, work = None, ["dense fallback"], {}
-    if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
-        try:
-            kappas, vecs, notes = _arpack(A, B, sigma, n_modes, seed, work)
-        except spla.ArpackError as err:
-            if n > ORACLE_CAP:
-                raise EigenSolveError(f"arpack failed: {err}") from err
-            notes = [f"arpack failed ({err}); dense fallback"]
-    if kappas is None:
-        vals, vecs = _dense_constrained(A.toarray(), B.toarray(),
-                                        want_vectors=True)
-        take = np.flatnonzero(vals > sigma)
-        take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
-        kappas, vecs = vals[take], vecs[:, take]
-
-    pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
-                  for k in np.argsort(kappas, kind="stable"))
-    return SpectrumReport(n_modes, pairs, float(sigma), notes=tuple(notes),
-                          **work)
-
-
-def _arpack(A, B, sigma, n_modes, seed, work):
-    """ARPACK shift-invert solve; ``work`` receives the report's counts."""
-    n = A.shape[0]
-    notes = []
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
-    sigma = float(sigma)
-    work["factorizations"] = 1
-    try:
-        # a diagonal pivot below 0.01 of its column is swapped off the
-        # diagonal, which bounds element growth; such a factor gives no
-        # inertia, so count_below makes its own
-        lu = spla.splu((A - sigma * B).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                       options={"SymmetricMode": True})
-    except RuntimeError as err:
-        raise EigenSolveError(f"shift-invert factorization at shift "
-                              f"{sigma:.6e}: {err}") from err
-    work["lu_nnz"] = int(lu.nnz)
-    work["inverse_applications"] = 0
-
-    def inverse(x):
-        work["inverse_applications"] += 1
-        return lu.solve(x)
-
-    op = spla.LinearOperator((n, n), matvec=inverse)
-    try:
-        vals, vecs = spla.eigsh(A, k=n_modes, M=B, sigma=sigma, which="LA",
-                                v0=v0, ncv=ncv, tol=0.0, OPinv=op,
-                                maxiter=max(400, 40 * n_modes))
-    except spla.ArpackNoConvergence as err:
-        vals, vecs = err.eigenvalues, err.eigenvectors
-        notes.append(f"arpack converged only {len(vals)}/{n_modes} pairs")
-    return vals, vecs, notes
-
-
-# ----------------------------------------------------------------------
-# inertia count
-# ----------------------------------------------------------------------
-
-def count_below(system: BlockSystem, sigma: float, work=None) -> int:
-    """Negative pivots of a pivot-free LDL^T of W^T (A - sigma B) W.
-
-    By Sylvester's law of inertia this is the number of eigenvalues of
-    the reduced pencil below sigma plus a sigma-independent offset from
-    the pressure block, so count_below(k_hi) - count_below(k_lo) is the
-    number of eigenvalues in [k_lo, k_hi).  The operator is factored in
-    SuperLU's symmetric mode with a diagonal pivot threshold of 0 on a
-    minimum degree ordering.  Where the diagonal has exact zeros (the
-    pressure block at nu = 1/2) that factorization pivots off the
-    diagonal, so each zero-diagonal dof is moved to just after its last
-    neighbour in the ordering, where eliminating the neighbours has
-    filled its pivot, and the operator is factored again in that order.
-    That ordering depends on the pattern alone, so only the first count
-    of a system makes the minimum degree factorization, and later counts
-    reuse its ordering.  A factorization that still pivots off the
-    diagonal raises EigenSolveError.  ``work`` (a dict) receives the
+    The operator is factored in SuperLU's symmetric mode with a diagonal
+    pivot threshold of 0 on a minimum degree ordering.  Where the
+    diagonal has exact zeros (the pressure block at nu = 1/2) that
+    factorization pivots off the diagonal, so each zero-diagonal dof is
+    moved to just after its last neighbour in the ordering, where
+    eliminating the neighbours has filled its pivot, and the operator is
+    factored again in that order.  That ordering depends on the pattern
+    alone, so only the first factor of a system makes the minimum degree
+    factorization, and later ones reuse its ordering.  A factorization
+    that fails (sigma an eigenvalue) or still pivots off the diagonal
+    raises EigenSolveError.  ``work`` (a dict) receives the
     factorizations made under the key "factorizations".
     """
-    M = (system.pencil[1] - sigma * system.pencil[2]).tocsc()
-    M.eliminate_zeros()
-    zero = M.diagonal() == 0.0
-    if zero.any():
-        order = _pivot_free_order(system, M, zero, sigma, work)
-        M = M[order][:, order].tocsc()
-        lu = _ldl(M, "NATURAL", sigma, work)
-    else:
-        lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
-    del M
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise EigenSolveError(f"inertia count at shift {sigma:.6e}: the "
-                              "factorization pivots off the diagonal")
-    # reading lu.U makes scipy cache CSC copies of L and U on the factor
-    # object, freed only with it, so a count's factor is not kept for a
-    # Lanczos run at the same shift
-    return int((lu.U.diagonal() < 0.0).sum())
+
+    def __init__(self, system: BlockSystem, sigma: float, work=None):
+        self.sigma = float(sigma)
+        M = (system.pencil[1] - self.sigma * system.pencil[2]).tocsc()
+        M.eliminate_zeros()
+        zero = M.diagonal() == 0.0
+        self.order = None
+        if zero.any():
+            self.order = _pivot_free_order(system, M, zero, self.sigma,
+                                           work)
+            M = M[self.order][:, self.order].tocsc()
+            self.lu = _ldl(M, "NATURAL", self.sigma, work)
+        else:
+            self.lu = _ldl(M, "MMD_AT_PLUS_A", self.sigma, work)
+        del M
+        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise EigenSolveError(f"pivot-free factorization at shift "
+                                  f"{self.sigma:.6e}: it pivots off the "
+                                  "diagonal")
+        self.nnz = int(self.lu.nnz)
+
+    def solve(self, x):
+        """(W^T (A - sigma B) W)^{-1} x."""
+        if self.order is None:
+            return self.lu.solve(x)
+        y = np.empty_like(x)
+        y[self.order] = self.lu.solve(x[self.order])
+        return y
+
+    def count(self) -> int:
+        """Negative pivots of the factor.
+
+        By Sylvester's law of inertia this is the number of eigenvalues
+        of the reduced pencil below sigma plus a sigma-independent offset
+        from the pressure block, so the difference of two counts is the
+        number of eigenvalues between their shifts.  Reading ``lu.U``
+        makes scipy cache CSC copies of L and U on the factor, freed only
+        with it, so a count read before a run holds them through it.
+        """
+        return int((self.lu.U.diagonal() < 0.0).sum())
+
+
+def count_below(system: BlockSystem, sigma: float, work=None) -> int:
+    """The inertia count at sigma (``ShiftFactor.count``) of a factor
+    made for it alone; ``work`` as for ``ShiftFactor``."""
+    return ShiftFactor(system, sigma, work).count()
 
 
 def _pivot_free_order(system, M, zero, sigma, work):
     """The minimum degree ordering of M with each zero-diagonal dof
-    delayed, made on the first count of the system and kept in
+    delayed, made on the first factor of the system and kept in
     ``BlockSystem.count_orders`` under the zero-diagonal set: both depend
     on the pattern of M alone, which every shift shares."""
     key = zero.tobytes()
@@ -328,8 +273,92 @@ def _ldl(M, permc_spec, sigma, work):
         return spla.splu(M, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as err:
-        raise EigenSolveError(f"inertia count at shift {sigma:.6e}: "
-                              f"{err}") from err
+        raise EigenSolveError(f"pivot-free factorization at shift "
+                              f"{sigma:.6e} (inertia count and "
+                              f"shift-invert runs): {err}") from err
+
+
+# ----------------------------------------------------------------------
+# shift-invert Lanczos
+# ----------------------------------------------------------------------
+
+def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
+                 seed: int = DEFAULT_SEED, factor=None) -> SpectrumReport:
+    """The ``n_modes`` eigenpairs just above the shift, ascending in
+    kappa.
+
+    A Krylov space is iterated on the inverse of the shifted reduced
+    operator applied to W^T B W (deterministic seeded start vector, full
+    reorthogonalization, ARPACK's tolerance 0, i.e. machine precision).
+    The inverse is ``factor``, a ``ShiftFactor`` at sigma the caller
+    holds; without one the shift is factored for this run alone.
+    Shift-invert maps each eigenvalue kappa to 1/(kappa - sigma), so the
+    modes above sigma are its largest algebraically (ARPACK's "LA"),
+    Krylov dimension min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220)
+    but at least n_modes + 8, and everything below sigma, the kappa = 0
+    kernel included, is on the side ARPACK discards.  A shift whose
+    operator cannot be factored raises EigenSolveError naming it.  Small
+    systems, and those up to the dense oracle's size on which ARPACK
+    fails, take the dense reduction and its ``n_modes`` smallest
+    eigenvalues above sigma (``dense_fallback``); a run that stops with
+    fewer converged pairs than asked for returns those (``partial``).
+    Eigenvectors are x = W y in the system's own unknowns.  The report
+    counts the factorizations the solve made, the factor fill and the
+    inverse applications.
+    """
+    if n_modes < 1:
+        raise EigenSolveError("n_modes must be >= 1")
+    W, A, B = system.pencil
+    n = A.shape[0]
+    kappas, notes, work, partial = None, [], {}, False
+    if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
+        if factor is None:
+            factor = ShiftFactor(system, sigma, work)
+        try:
+            kappas, vecs = _arpack(A, B, factor, n_modes, seed, work)
+        except spla.ArpackNoConvergence as err:
+            kappas, vecs = err.eigenvalues, err.eigenvectors
+            notes.append(f"arpack converged only {len(kappas)}/{n_modes} "
+                         "pairs")
+            partial = True
+        except spla.ArpackError as err:
+            if n > ORACLE_CAP:
+                raise EigenSolveError(f"arpack failed: {err}") from err
+            notes.append(f"arpack failed ({err}); dense fallback")
+    dense = kappas is None
+    if dense:
+        if not notes:
+            notes.append("dense fallback")
+        vals, vecs = _dense_constrained(A.toarray(), B.toarray(),
+                                        want_vectors=True)
+        take = np.flatnonzero(vals > sigma)
+        take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
+        kappas, vecs = vals[take], vecs[:, take]
+
+    pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
+                  for k in np.argsort(kappas, kind="stable"))
+    return SpectrumReport(n_modes, pairs, float(sigma), notes=tuple(notes),
+                          dense_fallback=dense, partial=partial, **work)
+
+
+def _arpack(A, B, factor, n_modes, seed, work):
+    """ARPACK shift-invert solve on ``factor``; ``work`` receives the
+    report's counts."""
+    n = A.shape[0]
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
+    work["lu_nnz"] = factor.nnz
+    work["inverse_applications"] = 0
+
+    def inverse(x):
+        work["inverse_applications"] += 1
+        return factor.solve(x)
+
+    op = spla.LinearOperator((n, n), matvec=inverse)
+    return spla.eigsh(A, k=n_modes, M=B, sigma=factor.sigma, which="LA",
+                      v0=v0, ncv=ncv, tol=0.0, OPinv=op,
+                      maxiter=max(400, 40 * n_modes))
 
 
 def _delay_zero_diagonal(M, order, zero):

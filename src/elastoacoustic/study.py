@@ -7,16 +7,19 @@ of the window differ by the number N of eigenvalues between them
 (Sylvester's law of inertia).  The pairs come from spectrum slicing
 (Ericsson & Ruhe, Math. Comp. 35, 1980; Grimes, Lewis & Simon, SIAM J.
 Matrix Anal. Appl. 15, 1994): a shift-invert run at the window's lower
-end asks for the N eigenvalues just above it, so the kappa = 0 kernel
-and everything else below the window lies on the side the run
-discards.  Each run owns a slice of the window, from its shift to its
-lowest pair that fails the residual test, and only then does a further
-run climb from the midpoint below that pair, so no pair is found twice
-and none is merged.  The window is certified by its count, its
-residuals and the B-orthogonality of its vectors: exactly N pairs, each
-converged, no two of them the same mode.  Every run is of this one kind
-(``solve_pencil``), and a shift on which the count or the run cannot
-factor the operator raises.
+end asks for the eigenvalues just above it, so the kappa = 0 kernel and
+everything else below the window lies on the side the run discards.
+Each shift is factored once, and the factor serves both its runs and its
+count; the count at the lower end is read after the run there, so that
+run asks for the caller's guess of N.  Each run owns a slice of the
+window, from its shift to its lowest pair that fails the residual test,
+and only then does a further run climb from the midpoint below that
+pair, once that shift's count shows no pair missing below it, so no pair
+is found twice and none is merged.  The window is certified by its
+count, its residuals and the B-orthogonality of its vectors: exactly N
+pairs, each converged, no two of them the same mode.  Every run is of
+this one kind (``solve_pencil``), and a shift whose operator cannot be
+factored raises.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from scipy.optimize import least_squares
 
 from .assembly import build_block_system
 from .config import RunConfig
-from .eigensolve import (SpectrumReport, count_below, solve_pencil,
-                         filter_modes, EigenSolveError)
+from .eigensolve import (ShiftFactor, SpectrumReport, count_below,
+                         solve_pencil, filter_modes, EigenSolveError)
 from .meshing import build_cavity_mesh
 
 
@@ -42,76 +45,112 @@ RESIDUAL_TOL = 1e-7       # in-window pairs
 GRAM_TOL = 0.5            # largest |x_i^T B x_j| of two kept pairs, i != j
 
 
-def solve_window(system, omega_window, seed=20260808):
+def solve_window(system, omega_window, seed=20260808,
+                 expect=RunConfig.n_modes):
     """Physical eigenpairs with omega inside the window, ascending.
 
     The window (k_lo, k_hi) in kappa = omega^2 holds
-    N = count_below(k_hi) - count_below(k_lo) eigenvalues.  The runs
-    climb it from k_lo, and each owns a slice of it: a run at shift
-    sigma asks for the pairs just above sigma, N less those kept so far
-    (all below sigma), and keeps its in-window pairs from sigma up to
-    its lowest in-window pair whose residual exceeds RESIDUAL_TOL.  If
-    one fails, or the run is partial (its bound is then k_hi), the next
-    run starts at the midpoint between that bound and the highest kept
-    pair; otherwise the run has searched the window to k_hi and the
-    search ends.  A run that keeps no pair raises StudyError.  The
-    window is certified by its count, its residuals and the
-    B-orthogonality of its vectors, and StudyError names what fails:
-    exactly N pairs, each with a residual <= RESIDUAL_TOL, and no
-    off-diagonal entry of the B-Gram matrix of their B-normalised
-    vectors above GRAM_TOL, so a duplicate cannot stand in for a missed
-    pair.  The window must start above 0 rad/s: kappa = 0 is the
-    fluid's curl kernel, where the count is singular.
+    N = count_below(k_hi) - count_below(k_lo) eigenvalues.  Each shift
+    is factored once (``ShiftFactor``), and its factor serves both the
+    runs at the shift and its count.  The count at k_lo is read after
+    the run there (reading it first would hold copies of the factor
+    through the run), so that run asks for ``expect`` pairs, the
+    caller's guess of N; a short guess runs again on the same factor,
+    asking for N, and a long one returns pairs above k_hi, which are
+    dropped.  The runs climb the window from k_lo, and each owns a slice
+    of it: a run at shift sigma asks for the pairs just above sigma, N
+    less those kept so far (all below sigma), and keeps its in-window
+    pairs from sigma up to its lowest in-window pair whose residual
+    exceeds RESIDUAL_TOL.  If one fails, or the run is partial (its
+    bound is then k_hi), the next run starts at the midpoint between
+    that bound and the highest kept pair; otherwise the run has searched
+    the window to k_hi and the search ends.  A further shift's count,
+    read before its run, certifies the slice below it: while it puts
+    more eigenvalues in [k_lo, sigma) than are kept, the shift moves
+    halfway down to the highest kept pair, and StudyError is raised once
+    the two are within RESIDUAL_TOL, where the count no longer tells them
+    apart.  A run that keeps no pair raises StudyError.  The window is
+    certified by its count, its residuals and the B-orthogonality of its
+    vectors, and StudyError names what fails: exactly N pairs, each with
+    a residual <= RESIDUAL_TOL, and no off-diagonal entry of the B-Gram
+    matrix of their B-normalised vectors above GRAM_TOL, so a duplicate
+    cannot stand in for a missed pair.  The window must start above
+    0 rad/s: kappa = 0 is the fluid's curl kernel, where the count is
+    singular.
 
     Returns (pairs_in_window, report); the report holds exactly those
     pairs and carries N as ``window_count``, the number of runs as
-    ``rungs``, their shifts as ``shifts`` and the largest residual of
-    the pairs as ``max_residual``, sums the runs' and the counts'
-    factorizations and the runs' inverse applications, and keeps the
-    runs' largest factor fill.
+    ``rungs``, their shifts as ``shifts`` and the pairs they asked for
+    as ``asked``, whether any took the dense fallback or was partial,
+    and the largest residual of the pairs as ``max_residual``; it counts
+    every factorization of the window, sums the runs' inverse
+    applications and keeps the runs' largest factor fill.
     """
     w_lo, w_hi = omega_window
     if not 0 < w_lo < w_hi:
         raise StudyError(f"invalid frequency window {omega_window}: it "
                          "must satisfy 0 < w_lo < w_hi")
     k_lo, k_hi = w_lo ** 2, w_hi ** 2
-    counted = {}
-    n_window = count_below(system, k_hi, counted) - \
-        count_below(system, k_lo, counted)
-    notes, requested, shifts, kept = (), 0, [], []
-    factorizations = counted["factorizations"]
-    lu_nnz = inverse_applications = 0
-    sigma = k_lo
-    while len(kept) < n_window:
-        k = n_window - len(kept)
-        run = solve_pencil(system, sigma=sigma, n_modes=k, seed=seed)
-        shifts.append(sigma)
-        notes = notes + run.notes
-        requested = max(requested, k)
-        factorizations += run.factorizations
-        lu_nnz = max(lu_nnz, run.lu_nnz)
-        inverse_applications += run.inverse_applications
-        failed = [p.kappa for p in run.pairs
+    work = {}
+    above = count_below(system, k_hi, work)
+    runs, kept = [], []
+
+    def run(factor, k):
+        runs.append(solve_pencil(system, sigma=factor.sigma, n_modes=k,
+                                 seed=seed, factor=factor))
+        return runs[-1]
+
+    sigma, below = k_lo, None
+    while below is None or len(kept) < n_window:
+        factor = ShiftFactor(system, sigma, work)
+        if below is None:
+            rep = run(factor, expect)
+            below = factor.count()
+            n_window = above - below
+            if n_window > expect:
+                rep = run(factor, n_window)
+        elif factor.count() > below + len(kept):
+            del factor
+            highest = max(p.kappa for p in kept)
+            sigma = 0.5 * (highest + sigma)
+            if sigma - highest <= RESIDUAL_TOL * highest:
+                raise StudyError(
+                    f"the inertia count misses a pair just above "
+                    f"kappa {highest:.12e} in the window ({w_lo:.6g}, "
+                    f"{w_hi:.6g}) rad/s: {len(kept)} of {n_window} found")
+            continue
+        else:
+            rep = run(factor, n_window - len(kept))
+        del factor
+        if n_window == 0:
+            break
+        failed = [p.kappa for p in rep.pairs
                   if sigma <= p.kappa <= k_hi and p.residual > RESIDUAL_TOL]
         top = min(failed, default=k_hi)
-        mine = [p for p in run.pairs
+        mine = [p for p in rep.pairs
                 if sigma <= p.kappa <= top and p.residual <= RESIDUAL_TOL]
         if not mine:
             raise StudyError(
                 f"the run at shift {sigma:.6e} adds no pair to the window "
                 f"({w_lo:.6g}, {w_hi:.6g}) rad/s: {len(kept)} of "
-                f"{n_window} found, {len(run.pairs)} of {k} pairs "
-                "converged")
+                f"{n_window} found, {len(rep.pairs)} of {rep.requested} "
+                "pairs converged")
         kept += mine
-        if not failed and len(run.pairs) == k:
+        if not failed and len(rep.pairs) == rep.requested:
             break
         sigma = 0.5 * (max(p.kappa for p in mine) + top)
     report = filter_modes(SpectrumReport(
-        requested, tuple(kept), k_lo, notes=notes,
-        factorizations=factorizations, lu_nnz=lu_nnz,
-        inverse_applications=inverse_applications, rungs=len(shifts),
-        window_count=n_window, shifts=tuple(shifts),
-        max_residual=max((p.residual for p in kept), default=None)))
+        max(r.requested for r in runs), tuple(kept), k_lo,
+        notes=sum((r.notes for r in runs), ()),
+        factorizations=work["factorizations"],
+        lu_nnz=max(r.lu_nnz for r in runs),
+        inverse_applications=sum(r.inverse_applications for r in runs),
+        rungs=len(runs), window_count=n_window,
+        shifts=tuple(r.shift for r in runs),
+        asked=tuple(r.requested for r in runs),
+        max_residual=max((p.residual for p in kept), default=None),
+        dense_fallback=any(r.dense_fallback for r in runs),
+        partial=any(r.partial for r in runs)))
     pairs = list(report.pairs)
     if len(pairs) != n_window:
         raise StudyError(
@@ -219,7 +258,8 @@ def _solve_level(config: RunConfig, N: int, nu=None):
     mesh = build_cavity_mesh(config.geometry_spec(), N)
     system = build_block_system(mesh, config.family, mats,
                                 config.assembly_degree)
-    pairs, _ = solve_window(system, config.window, seed=config.seed)
+    pairs, _ = solve_window(system, config.window, seed=config.seed,
+                            expect=config.n_modes)
     if len(pairs) < config.n_modes:
         raise StudyError(
             f"level N={N}: only {len(pairs)} physical modes in the window "

@@ -162,13 +162,18 @@ class TestCli:
         assert all(400.0 <= w <= 2800.0 for w in omegas)
         assert work["count"] >= 2
         assert work["rungs"] >= 1
-        # each run factors its shift once, each end of the window once
-        assert work["factorizations"] >= work["rungs"] + 2
+        # each shift is factored once for its runs and its count, and
+        # the window's upper end once for its count
+        assert work["factorizations"] == len(set(work["shifts"])) + 1
         assert work["inverse_applications"] > 0
         assert work["lu_nnz"] > 0
         # the first run sits at the window's lower end, and each later
         # run climbs above the one before it
-        assert len(work["shifts"]) == work["rungs"]
+        assert len(work["shifts"]) == len(work["asked"]) == work["rungs"]
+        # two modes guessed, and the count read after the first run asks
+        # for the rest on the same factor
+        assert work["asked"][0] == 2
+        assert work["dense_fallback"] is False and work["partial"] is False
         assert work["shifts"][0] == pytest.approx(400.0 ** 2, rel=1e-15)
         assert work["shifts"] == sorted(work["shifts"])
         residuals = [float(row.split(",")[3]) for row in spectrum

@@ -89,22 +89,24 @@ class TestSolvePencil:
         pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0))
         assert rep.rungs == len(rungs) >= 1
         assert rep.window_count == len(pairs) == 4
-        # one factorization for each of the two counts at nu < 1/2 and
-        # one for each run
-        assert sum(r.factorizations for r in rungs) == len(rungs)
-        assert rep.factorizations == 2 + len(rungs)
+        # at nu < 1/2 one factorization for the count at k_hi and one
+        # for each run, whose factor also gives the count at its shift
+        assert rep.shifts == (400.0 ** 2,) and rep.asked == (4,)
+        assert sum(r.factorizations for r in rungs) == 0
+        assert rep.factorizations == 1 + len(rungs)
         assert rep.inverse_applications == \
             sum(r.inverse_applications for r in rungs)
         assert rep.lu_nnz == max(r.lu_nnz for r in rungs)
+        assert not rep.dense_fallback and not rep.partial
 
-        # at nu = 1/2 the first count also makes the ordering that both
-        # counts factor in
+        # at nu = 1/2 the count at k_hi also makes the ordering that
+        # every factor of the system is made in
         half = build_block_system(omega1_n2, "taylor-hood",
                                   replace(materials, nu=0.5))
         rungs.clear()
         _, rep = solve_window(half, (400.0, 2800.0))
-        assert sum(r.factorizations for r in rungs) == len(rungs)
-        assert rep.factorizations == 3 + len(rungs)
+        assert sum(r.factorizations for r in rungs) == 0
+        assert rep.factorizations == 2 + len(rungs)
 
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     def test_above_matches_oracle(self, omega1_n1, materials, family):
@@ -424,6 +426,76 @@ class TestWindowedDrivers:
         assert rep.max_residual <= study.RESIDUAL_TOL
         assert_allclose([p.kappa for p in again],
                         [p.kappa for p in pairs], rtol=1e-9)
+
+    def test_partial_first_run_keeps_every_pair(self, coupled_system_th,
+                                                monkeypatch):
+        # the first run converges only its lowest pair; the midpoint from
+        # it to k_hi lies above kappa_2, and the count there moves the
+        # shift down toward kappa_1 until no pair is missing below it
+        pairs, _ = solve_window(coupled_system_th, (400.0, 2800.0))
+        runs = []
+
+        def partial_first(*args, **kw):
+            rep = solve_pencil(*args, **kw)
+            runs.append(kw["sigma"])
+            if len(runs) == 1:
+                rep = replace(rep, pairs=rep.pairs[:1], notes=(
+                    f"arpack converged only 1/{kw['n_modes']} pairs",))
+            return rep
+
+        monkeypatch.setattr(study, "solve_pencil", partial_first)
+        again, rep = solve_window(coupled_system_th, (400.0, 2800.0))
+        assert_allclose([p.kappa for p in again],
+                        [p.kappa for p in pairs], rtol=1e-9)
+        assert len(runs) == 2
+        assert pairs[0].kappa < runs[1] < pairs[1].kappa
+
+    def test_missing_pair_below_kept_raises(self, coupled_system_th,
+                                            monkeypatch):
+        # a partial run that skips kappa_2 but keeps kappa_3: no shift
+        # above kappa_3 certifies the slice below it, and the shift stops
+        # moving down once it is within RESIDUAL_TOL of kappa_3
+        pairs, _ = solve_window(coupled_system_th, (400.0, 2800.0))
+        calls = []
+
+        def skips_second(*args, **kw):
+            rep = solve_pencil(*args, **kw)
+            calls.append(kw["sigma"])
+            return replace(rep, pairs=(rep.pairs[0], rep.pairs[2]))
+
+        monkeypatch.setattr(study, "solve_pencil", skips_second)
+        with pytest.raises(StudyError, match="misses a pair just above"):
+            solve_window(coupled_system_th, (400.0, 2800.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("expect", [1, 8])
+    def test_wrong_guess_same_window(self, coupled_system_th, expect):
+        # a short guess runs again on the factor held at k_lo and a long
+        # one drops the pairs above k_hi; neither factors again
+        exact, ref = solve_window(coupled_system_th, (400.0, 2800.0),
+                                  expect=4)
+        pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0),
+                                  expect=expect)
+        assert_allclose([p.kappa for p in pairs],
+                        [p.kappa for p in exact], rtol=1e-9)
+        assert rep.factorizations == ref.factorizations == 2
+        assert rep.asked == ((1, 4) if expect == 1 else (8,))
+        assert rep.shifts == (400.0 ** 2,) * len(rep.asked)
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    @pytest.mark.parametrize("nu", [0.35, 0.5])
+    def test_count_after_run_matches_oracle(self, omega1_n1, family, nu):
+        # the inertia read from a run's factor after the run counts the
+        # window as the dense spectrum does
+        sys_ = build_block_system(omega1_n1, family, MaterialField(nu=nu))
+        oracle = dense_oracle(sys_)
+        for w_lo, w_hi in ((150.0, 12000.0), (400.0, 2800.0)):
+            k_lo, k_hi = w_lo ** 2, w_hi ** 2
+            factor = eigensolve.ShiftFactor(sys_, k_lo)
+            run = solve_pencil(sys_, k_lo, n_modes=4, factor=factor)
+            assert not run.dense_fallback and len(run.pairs) == 4
+            count = count_below(sys_, k_hi) - factor.count()
+            assert count == ((oracle >= k_lo) & (oracle < k_hi)).sum()
 
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])

@@ -1,0 +1,129 @@
+"""Compare the windowed solves of two source trees of this package.
+
+    python tools/compare_windows.py OLD_TREE NEW_TREE
+
+Each tree is imported in a process of its own (``PYTHONPATH=TREE/src``)
+and solves the same sweep with ``study.solve_window`` at its defaults:
+omega1 and omega2, both element families, nu in {0.35, 0.49, 0.499,
+0.5}, mesh levels 1-3, and the windows (400, 2800), (150, 12000) and
+(150, 30000) rad/s.  One line per window gives both trees'
+factorizations, inverse applications and runs; the summary gives the
+largest relative difference of the in-window kappa, whether every count
+agrees, and the work summed over the sweep.  The exit status is 1 when
+a count differs, a window fails on one side only, or a kappa differs by
+more than 1e-9 relative.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+
+GEOMETRIES = ("omega1", "omega2")
+FAMILIES = ("mini", "taylor-hood")
+NUS = (0.35, 0.49, 0.499, 0.5)
+LEVELS = (1, 2, 3)
+WINDOWS = ((400.0, 2800.0), (150.0, 12000.0), (150.0, 30000.0))
+KAPPA_TOL = 1e-9
+WORK = ("factorizations", "inverse_applications", "rungs")
+
+
+def sweep():
+    return list(itertools.product(GEOMETRIES, FAMILIES, NUS, LEVELS,
+                                  WINDOWS))
+
+
+def solve_sweep():
+    """Solve every window of the sweep with the package on sys.path; one
+    JSON record per window, in sweep order."""
+    import elastoacoustic as ea
+
+    out = []
+    for geometry, family, nu, level in itertools.product(
+            GEOMETRIES, FAMILIES, NUS, LEVELS):
+        mesh = ea.build_cavity_mesh(ea.meshing.PRESETS[geometry](), level)
+        system = ea.build_block_system(mesh, family,
+                                       ea.MaterialField(nu=nu))
+        for window in WINDOWS:
+            try:
+                pairs, rep = ea.solve_window(system, window)
+            except (ea.study.StudyError,
+                    ea.eigensolve.EigenSolveError) as err:
+                out.append({"error": str(err)})
+                continue
+            out.append({"kappas": [p.kappa for p in pairs],
+                        "count": rep.window_count,
+                        **{k: getattr(rep, k) for k in WORK}})
+    return out
+
+
+def run_tree(tree):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           "--worker"], env=env, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: the sweep failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(old, new):
+    """Printed lines and the exit status of the comparison."""
+    lines, worst, counts_equal, mismatched = [], 0.0, True, 0
+    totals = {side: dict.fromkeys(WORK, 0) for side in ("old", "new")}
+    for case, a, b in zip(sweep(), old, new):
+        geometry, family, nu, level, (w_lo, w_hi) = case
+        label = (f"{geometry} {family:11s} nu={nu:<5} N={level} "
+                 f"({w_lo:g}, {w_hi:g})")
+        if "error" in a or "error" in b:
+            both = "error" in a and "error" in b
+            mismatched += not both
+            lines.append(f"{label}  old: {a.get('error', 'ok')}  "
+                         f"new: {b.get('error', 'ok')}")
+            continue
+        if a["count"] != b["count"] or len(a["kappas"]) != len(b["kappas"]):
+            counts_equal = False
+            lines.append(f"{label}  count {a['count']} -> {b['count']}")
+            continue
+        for ka, kb in zip(a["kappas"], b["kappas"]):
+            worst = max(worst, abs(kb - ka) / abs(ka))
+        for side, rec in (("old", a), ("new", b)):
+            for k in WORK:
+                totals[side][k] += rec[k]
+        lines.append(f"{label}  count {a['count']:3d}  "
+                     + "  ".join(f"{k} {a[k]} -> {b[k]}" for k in WORK))
+    lines.append(f"windows: {len(old)}, failing on one side only: "
+                 f"{mismatched}")
+    lines.append(f"largest relative kappa difference: {worst:.3e} "
+                 f"(bound {KAPPA_TOL:g})")
+    lines.append(f"counts equal: {counts_equal}")
+    lines.append("work over the sweep: " + ", ".join(
+        f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in WORK))
+    ok = counts_equal and not mismatched and worst <= KAPPA_TOL
+    return lines, 0 if ok else 1
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE",
+                        help="the old and the new source tree")
+    parser.add_argument("--worker", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        json.dump(solve_sweep(), sys.stdout)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give the old and the new source tree")
+    old, new = (run_tree(tree) for tree in args.trees)
+    lines, status = compare(old, new)
+    print("\n".join(lines))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
