@@ -23,13 +23,19 @@ of the default unsymmetric ordering.  At nu = 1/2 the pressure diagonal
 is exactly zero, so each zero-diagonal dof is ordered just after its
 last neighbour, where its pivot has filled in.  A shift whose
 factorization fails (sigma an eigenvalue) or still pivots off the
-diagonal raises EigenSolveError.  A dense reduction path doubles as the
-brute-force oracle for small systems, with an SVD null-space basis of C
-in place of the elimination.
+diagonal raises EigenSolveError.  Systems too small for a Krylov run
+take the same spectral transformation densely (Ericsson & Ruhe, Math.
+Comp. 35, 1980): with B = E E^T, the eigenvalues theta of the symmetric
+E^T (A - sigma B)^{-1} E, from a Bunch-Kaufman solve, are
+1/(kappa - sigma), so eigenvalues near sigma are accurate at every nu,
+and the singular pressure block at nu = 1/2 needs no special case: its
+infinite eigenvalues are theta = 0.  On an SVD null-space basis of C in
+place of the elimination, that dense path is the brute-force oracle.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,8 +47,6 @@ from .assembly import (ORACLE_CAP, BlockSystem, equilibration,
 
 DEFAULT_SEED = 20260808
 KERNEL_TOL = 1e-8          # filter_modes' threshold (see there)
-# pressure-block eigenvalues below SPLIT_TOL times the largest are zero
-SPLIT_TOL = 1e-10
 
 
 class EigenSolveError(Exception):
@@ -98,71 +102,51 @@ class SpectrumReport:
 
 
 # ----------------------------------------------------------------------
-# dense symmetric solve with a singular mass block
+# dense spectral transformation
 # ----------------------------------------------------------------------
 
-def _dense_constrained(A, B, want_vectors=False):
-    """All finite eigenvalues of the symmetric pencil (A, B), B PSD with
-    its null space spanned by the structurally empty rows of B."""
-    A = np.asarray(A)
-    B = np.asarray(B)
+def _dense_shifted(A, B, sigma):
+    """Every finite eigenpair of the dense symmetric pencil (A, B) as
+    theta = 1/(kappa - sigma), ascending, with B-normalised vectors.
+
+    B = E E^T, E a Cholesky factor on the structurally non-empty rows of
+    B.  With Y = (A - sigma B)^{-1} E from a Bunch-Kaufman solve, theta,
+    z are the eigenpairs of E^T Y and x = Y z / theta.  A theta at most
+    n eps max|theta| is an infinite eigenvalue and is dropped.  An
+    A - sigma B singular to working precision (sigma an eigenvalue, or a
+    singular pencil) raises EigenSolveError naming the shift.
+    """
     n = A.shape[0]
-    bnnz = np.abs(B).sum(axis=1)
-    idx_p = np.flatnonzero(bnnz == 0.0)
-    idx_r = np.flatnonzero(bnnz != 0.0)
-    if len(idx_r) == 0:
-        return (np.empty(0), np.empty((n, 0))) if want_vectors \
-            else np.empty(0)
-    A11 = A[np.ix_(idx_r, idx_r)]
-    B11 = B[np.ix_(idx_r, idx_r)]
-    if len(idx_p) == 0:
-        vals, vecs = la.eigh(A11, B11)
-        X = np.zeros((n, len(vals)))
-        X[idx_r] = vecs
-        return (vals, X) if want_vectors else vals
-    A10 = A[np.ix_(idx_r, idx_p)]
-    A00 = A[np.ix_(idx_p, idx_p)]
-    d, Q = la.eigh(A00)
-    dmax = np.abs(d).max(initial=0.0)
-    # the incompressible limit zeroes the pressure block exactly; a mixed
-    # field splits by the block's own scale
-    big = np.abs(d) > SPLIT_TOL * dmax if dmax > 0.0 \
-        else np.zeros(len(d), dtype=bool)
-    As = A11
-    if big.any():
-        Qb = Q[:, big]
-        As = A11 - (A10 @ Qb) @ np.diag(1.0 / d[big]) @ (A10 @ Qb).T
-        As = 0.5 * (As + As.T)
-    if (~big).any():
-        G = (A10 @ Q[:, ~big]).T       # constraints G x1 = 0
-        # rank decisions against the global matrix scale, so reduction
-        # roundoff cannot masquerade as a constraint
-        scale = max(np.abs(A).max(), 1.0)
-        u_, s_, vt = np.linalg.svd(G, full_matrices=True)
-        rank = int((s_ > 1e-12 * scale).sum())
-        W = vt[rank:].T
-        if W.shape[1] == 0:
-            vals = np.empty(0)
-            vecs = np.empty((len(idx_r), 0))
-        else:
-            vals, y = la.eigh(W.T @ As @ W, W.T @ B11 @ W)
-            vecs = W @ y
-    else:
-        vals, vecs = la.eigh(As, B11)
-    if not want_vectors:
-        return vals
-    X = np.zeros((n, len(vals)))
-    X[idx_r] = vecs
-    if big.any():
-        X[idx_p] = -Q[:, big] @ np.diag(1.0 / d[big]) @ (A10 @ Q[:, big]).T \
-            @ vecs
-    return vals, X
+    rows = np.flatnonzero(np.abs(B).sum(axis=1) != 0.0)
+    E = np.zeros((n, len(rows)))
+    E[rows] = la.cholesky(B[np.ix_(rows, rows)]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", la.LinAlgWarning)
+        try:
+            Y = la.solve(A - sigma * B, E, assume_a="sym")
+        except (la.LinAlgError, la.LinAlgWarning) as err:
+            raise EigenSolveError(f"dense factorization at shift "
+                                  f"{sigma:.6e}: {err}") from err
+    T = E.T @ Y
+    theta, z = la.eigh(0.5 * (T + T.T))
+    tol = n * np.finfo(float).eps * np.abs(theta).max(initial=0.0)
+    finite = np.abs(theta) > tol
+    theta = theta[finite]
+    return theta, Y @ z[:, finite] / theta
 
 
-def dense_oracle(system: BlockSystem) -> np.ndarray:
-    """Brute-force spectrum: explicit null-space basis of C, dense
-    symmetric reduction, all finite eigenvalues sorted ascending.
-    Limited to 2000 unknowns."""
+def dense_oracle(system: BlockSystem, sigma: float) -> np.ndarray:
+    """Brute-force spectrum: every finite eigenvalue, ascending, of the
+    dense pencil reduced on an SVD null-space basis of C, from the
+    spectral transformation at sigma (``_dense_shifted``).
+
+    Eigenvalues are accurate relative to their distance from sigma, so a
+    caller passes the lower end of the window it checks.  Sigma must not
+    be an eigenvalue (kappa = 0 is one on a system with fluid), and an
+    eigenvalue farther from sigma than about 1/(n eps) times the distance
+    of the nearest one cannot be told from an infinite one and is
+    dropped.  Limited to 2000 unknowns.
+    """
     if system.n > ORACLE_CAP:
         raise EigenSolveError(
             f"dense oracle limited to {ORACLE_CAP} dofs, got {system.n}")
@@ -178,8 +162,8 @@ def dense_oracle(system: BlockSystem) -> np.ndarray:
     B = W.T @ system.B.toarray() @ W
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
-    vals = _dense_constrained(A, B)
-    return np.sort(vals)
+    theta, _ = _dense_shifted(A, B, sigma)
+    return np.sort(sigma + 1.0 / theta)
 
 
 # ----------------------------------------------------------------------
@@ -297,11 +281,12 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
     Krylov dimension min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220)
     but at least n_modes + 8, and everything below sigma, the kappa = 0
     kernel included, is on the side ARPACK discards.  A shift whose
-    operator cannot be factored raises EigenSolveError naming it.  Small
-    systems, and those up to the dense oracle's size on which ARPACK
-    fails, take the dense reduction and its ``n_modes`` smallest
-    eigenvalues above sigma (``dense_fallback``); a run that stops with
-    fewer converged pairs than asked for returns those (``partial``).
+    operator cannot be factored raises EigenSolveError naming it, as does
+    a failed ARPACK run.  A system too small for that Krylov space takes
+    the dense spectral transformation at sigma (``_dense_shifted``) and
+    its ``n_modes`` largest positive theta, the eigenvalues just above
+    sigma (``dense_fallback``); a run that stops with fewer converged
+    pairs than asked for returns those (``partial``).
     Eigenvectors are x = W y in the system's own unknowns.  The report
     counts the factorizations the solve made, the factor fill and the
     inverse applications.
@@ -310,8 +295,14 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
         raise EigenSolveError("n_modes must be >= 1")
     W, A, B = system.pencil
     n = A.shape[0]
-    kappas, notes, work, partial = None, [], {}, False
-    if n_modes < n // 2 and n > max(4 * n_modes + 4, 60):
+    notes, work, partial = [], {}, False
+    dense = n_modes >= n // 2 or n <= max(4 * n_modes + 4, 60)
+    if dense:
+        notes.append("dense fallback")
+        theta, vecs = _dense_shifted(A.toarray(), B.toarray(), sigma)
+        take = np.flatnonzero(theta > 0.0)[::-1][:n_modes]
+        kappas, vecs = sigma + 1.0 / theta[take], vecs[:, take]
+    else:
         if factor is None:
             factor = ShiftFactor(system, sigma, work)
         try:
@@ -322,18 +313,7 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
                          "pairs")
             partial = True
         except spla.ArpackError as err:
-            if n > ORACLE_CAP:
-                raise EigenSolveError(f"arpack failed: {err}") from err
-            notes.append(f"arpack failed ({err}); dense fallback")
-    dense = kappas is None
-    if dense:
-        if not notes:
-            notes.append("dense fallback")
-        vals, vecs = _dense_constrained(A.toarray(), B.toarray(),
-                                        want_vectors=True)
-        take = np.flatnonzero(vals > sigma)
-        take = take[np.argsort(vals[take], kind="stable")[:n_modes]]
-        kappas, vecs = vals[take], vecs[:, take]
+            raise EigenSolveError(f"arpack failed: {err}") from err
 
     pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
                   for k in np.argsort(kappas, kind="stable"))

@@ -106,7 +106,7 @@ class TestCriterion3OracleEquivalence:
         mesh = msh.build_cavity_mesh(msh.omega1(), 1)
         sys_ = build_block_system(mesh, family, mats)
         assert sys_.n <= 2000
-        oracle = dense_oracle(sys_)
+        oracle = dense_oracle(sys_, 150.0 ** 2)
         # six lowest eigenvalues of the targeted elasto-acoustic branch
         pairs, _ = solve_window(sys_, (150.0, 12000.0))
         pairs = pairs[:6]

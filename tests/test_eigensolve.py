@@ -113,8 +113,8 @@ class TestSolvePencil:
         # the n_modes eigenvalues just above the shift, the kappa = 0
         # kernel and the sloshing modes below it left out
         sys_ = build_block_system(omega1_n1, family, materials)
-        oracle = dense_oracle(sys_)
         for sigma, k in ((400.0 ** 2, 6), (3000.0 ** 2, 3)):
+            oracle = dense_oracle(sys_, sigma)
             rep = solve_pencil(sys_, sigma=sigma, n_modes=k)
             assert rep.notes == ()
             assert_allclose(rep.kappas, oracle[oracle > sigma][:k],
@@ -123,51 +123,81 @@ class TestSolvePencil:
     def test_above_dense_fallback(self):
         sys_ = BlockSystem.from_matrices(np.diag([1.0, 2.0, 3.0, 4.0]),
                                          np.eye(4))
-        rep = solve_pencil(sys_, sigma=2.0, n_modes=3)
-        assert rep.notes == ("dense fallback",)
+        rep = solve_pencil(sys_, sigma=2.5, n_modes=3)
+        assert rep.notes == ("dense fallback",) and rep.dense_fallback
         assert_allclose(rep.kappas, [3.0, 4.0], rtol=1e-12)
         rep = solve_pencil(sys_, sigma=1.5, n_modes=1)
         assert_allclose(rep.kappas, [2.0], rtol=1e-12)
 
+    def test_arpack_failure_raises(self, omega1_n1, materials,
+                                   monkeypatch):
+        # a failed Krylov run raises at any size, within the dense
+        # oracle's too; the dense path serves only systems too small for
+        # the run
+        def fails(*args, **kw):
+            raise eigensolve.spla.ArpackError(-9999)
+
+        monkeypatch.setattr(eigensolve.spla, "eigsh", fails)
+        sys_ = build_block_system(omega1_n1, "taylor-hood", materials)
+        assert sys_.n <= assembly.ORACLE_CAP
+        with pytest.raises(EigenSolveError, match="arpack failed"):
+            solve_pencil(sys_, sigma=400.0 ** 2, n_modes=2)
+
     def test_failed_factorization_raises(self):
         # sigma exactly on an eigenvalue makes the shifted operator
-        # singular; the system is large enough for the Lanczos path
-        sys_ = BlockSystem.from_matrices(np.diag(np.arange(1.0, 101.0)),
-                                         np.eye(100))
-        with pytest.raises(EigenSolveError,
-                           match="factorization at shift 2.000000e\\+00"):
-            solve_pencil(sys_, sigma=2.0, n_modes=2)
+        # singular, on the dense path (n = 4) as on the Lanczos path
+        for n in (4, 100):
+            sys_ = BlockSystem.from_matrices(
+                np.diag(np.arange(1.0, n + 1.0)), np.eye(n))
+            with pytest.raises(EigenSolveError,
+                               match="factorization at shift "
+                                     "2.000000e\\+00"):
+                solve_pencil(sys_, sigma=2.0, n_modes=2)
 
 
 class TestOracle:
     def test_identity_pencil(self):
         sys_ = BlockSystem.from_matrices(np.eye(5), np.eye(5))
-        assert_allclose(dense_oracle(sys_), np.ones(5), rtol=1e-13)
+        assert_allclose(dense_oracle(sys_, 0.0), np.ones(5), rtol=1e-13)
 
     def test_singular_mass_drops_infinite_eigenvalues(self):
         # B-null directions produce no finite pencil eigenvalues
         A = np.diag([2.0, 3.0, -4.0, -5.0])
         B = np.diag([1.0, 1.0, 0.0, 0.0])
-        vals = dense_oracle(BlockSystem.from_matrices(A, B))
+        vals = dense_oracle(BlockSystem.from_matrices(A, B), 0.0)
         assert len(vals) == 2
         assert_allclose(vals, [2.0, 3.0], rtol=1e-12)
 
     def test_constrained_pressure_count(self):
-        # with C killing one of the B-null dofs, the finite count stays
-        # the rank of the B-positive block
-        A = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 0.0]])
-        B = np.diag([1.0, 1.0, 0.0])
-        vals = dense_oracle(BlockSystem.from_matrices(A, B,
-                                                      [[1.0, 1.0, 0.0]]))
+        # C removes dof 2, and the zero pressure block, as at nu = 1/2,
+        # couples dof 3 to x0 + x1: that forces x0 = -x1, so of the two
+        # B-positive directions left one is finite (kappa = 2.5) and one
+        # infinite
+        A = np.array([[2.0, 0.0, 0.0, 1.0], [0.0, 3.0, 0.0, 1.0],
+                      [0.0, 0.0, 4.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+        B = np.diag([1.0, 1.0, 1.0, 0.0])
+        vals = dense_oracle(BlockSystem.from_matrices(
+            A, B, [[0.0, 0.0, 1.0, 0.0]]), 0.0)
         assert len(vals) == 1
         assert vals[0] == pytest.approx(2.5, rel=1e-12)
+
+        # with C = [1, 1, 0] on three dofs the pressure dof couples to
+        # nothing left, so A - sigma B is singular at every sigma: a
+        # singular pencil raises rather than return an empty spectrum
+        A = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 0.0]])
+        sys_ = BlockSystem.from_matrices(A, np.diag([1.0, 1.0, 0.0]),
+                                         [[1.0, 1.0, 0.0]])
+        for sigma in (0.0, 1.0):
+            with pytest.raises(EigenSolveError,
+                               match="dense factorization at shift"):
+                dense_oracle(sys_, sigma)
 
     def test_size_cap(self):
         n = 2100
         import scipy.sparse as sp
         sys_ = BlockSystem.from_matrices(sp.identity(n), sp.identity(n))
         with pytest.raises(EigenSolveError):
-            dense_oracle(sys_)
+            dense_oracle(sys_, 0.0)
 
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
@@ -177,24 +207,23 @@ class TestOracle:
         mats = MaterialField(nu=nu)
         sys_ = build_block_system(omega1_n1, family, mats)
         assert sys_.n <= 2000
-        oracle = dense_oracle(sys_)
+        oracle = dense_oracle(sys_, 1.0)
         # the kernel cluster sits at zero to solver precision while the
         # physical branch starts with the gravity modes around 30 1/s^2
         assert ((oracle > 0.1) & (oracle < 25.0)).sum() == 0
-        phys = oracle[oracle > 1.0]
 
-        # gravity (sloshing) branch: kappa ~ 30 against a stiffness norm
-        # of ~1e10 puts the double-precision floor of either method near
-        # eps |A| / kappa ~ 1e-8, so the two paths agree to 5e-8 there;
-        # the window's count at kappa = 1 lies above the kernel
+        # gravity (sloshing) branch, shift-inverted at the window's lower
+        # end like the run; the window's count at kappa = 1 lies above
+        # the kernel
         gravity = oracle[(oracle >= 1.0) & (oracle <= 14.0 ** 2)]
         pairs, _ = solve_window(sys_, (1.0, 14.0))
         assert len(gravity) >= 6
         assert len(pairs) == len(gravity)
-        assert_allclose([p.kappa for p in pairs], gravity, rtol=5e-8)
+        assert_allclose([p.kappa for p in pairs], gravity, rtol=1e-8)
 
-        # elasto-acoustic branch: full 1e-8 agreement
-        elastic = phys[phys > 1e4]
+        # elasto-acoustic branch
+        elastic = dense_oracle(sys_, 150.0 ** 2)
+        elastic = elastic[elastic > 150.0 ** 2]
         pairs, _ = solve_window(sys_, (150.0, 6000.0))
         assert len(pairs) >= 3
         hit = set()
@@ -209,12 +238,14 @@ class TestInertiaCount:
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     @pytest.mark.parametrize("nu", [0.35, 0.49, 0.499, 0.5])
     def test_counts_match_oracle(self, omega1_n1, family, nu):
+        # the last interval holds the fluid's kappa = 0 curl kernel
         sys_ = build_block_system(omega1_n1, family, MaterialField(nu=nu))
-        oracle = dense_oracle(sys_)
-        for w_lo, w_hi in ((150.0, 12000.0), (400.0, 2800.0)):
-            k_lo, k_hi = w_lo ** 2, w_hi ** 2
+        for k_lo, k_hi in ((150.0 ** 2, 12000.0 ** 2),
+                           (400.0 ** 2, 2800.0 ** 2), (-1.0, 1.0)):
+            oracle = dense_oracle(sys_, k_lo)
             count = count_below(sys_, k_hi) - count_below(sys_, k_lo)
             assert count == ((oracle >= k_lo) & (oracle < k_hi)).sum()
+        assert count == 225
 
     @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
     def test_incompressible_counts_are_pivot_free(self, omega1_n2, materials,
@@ -312,7 +343,7 @@ class TestFilterModes:
                           shape=(len(rows), lay.n_full)).tocsr()
         C = C[:, lay.free]
         sys2 = BlockSystem(sys_.A, sys_.B, C, lay, sys_.spaces, None)
-        vals = dense_oracle(sys2)
+        vals = dense_oracle(sys2, -1.0)
         n_kernel = int((np.abs(vals) < 1e-6).sum())
 
         # independent rank computation: divergence matrix plus traces
@@ -352,7 +383,7 @@ class TestWindowedDrivers:
         # covered to the last one
         sys_ = build_block_system(omega1_n1, family, materials)
         k_lo, k_hi = 150.0 ** 2, 30000.0 ** 2
-        oracle = dense_oracle(sys_)
+        oracle = dense_oracle(sys_, k_lo)
         oracle = oracle[(oracle >= k_lo) & (oracle <= k_hi)]
         pairs, _ = solve_window(sys_, (150.0, 30000.0))
         assert len(pairs) == len(oracle)
@@ -488,9 +519,9 @@ class TestWindowedDrivers:
         # the inertia read from a run's factor after the run counts the
         # window as the dense spectrum does
         sys_ = build_block_system(omega1_n1, family, MaterialField(nu=nu))
-        oracle = dense_oracle(sys_)
         for w_lo, w_hi in ((150.0, 12000.0), (400.0, 2800.0)):
             k_lo, k_hi = w_lo ** 2, w_hi ** 2
+            oracle = dense_oracle(sys_, k_lo)
             factor = eigensolve.ShiftFactor(sys_, k_lo)
             run = solve_pencil(sys_, k_lo, n_modes=4, factor=factor)
             assert not run.dense_fallback and len(run.pairs) == 4
@@ -502,21 +533,15 @@ class TestWindowedDrivers:
     def test_multiple_eigenvalue_window(self, omega1_n1, materials, family,
                                         nu):
         # the window holds a 7-fold cluster at kappa ~ 235.2 (spread
-        # 7e-6 to 8e-5 in kappa), and every member is kept.  For
-        # nu >= 0.49 only the count is checked: at nu = 0.49 the dense
-        # oracle's largest eigenvalue is about 1.9e12, so its absolute
-        # precision is about 4e-4, and it puts the lowest cluster member
-        # at 235.19992334 where runs at sigma = 235 and 200 give
-        # 235.19999034 and 235.19999010
+        # 7e-6 to 8e-5 in kappa), and every member is kept
         sys_ = build_block_system(omega1_n1, family,
                                   replace(materials, nu=nu))
         k_lo, k_hi = 1.0, 150.0 ** 2
-        oracle = dense_oracle(sys_)
+        oracle = dense_oracle(sys_, k_lo)
         oracle = oracle[(oracle >= k_lo) & (oracle <= k_hi)]
         pairs, rep = solve_window(sys_, (1.0, 150.0))
         assert len(pairs) == rep.window_count == len(oracle) == 15
-        if nu == 0.35:
-            assert_allclose([p.kappa for p in pairs], oracle, rtol=5e-8)
+        assert_allclose([p.kappa for p in pairs], oracle, rtol=1e-8)
 
     def test_duplicate_pair_raises(self, coupled_system_th, monkeypatch):
         # a run that returns a second copy of mode 2 in place of mode 4,

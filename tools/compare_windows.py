@@ -2,16 +2,19 @@
 
     python tools/compare_windows.py OLD_TREE NEW_TREE
 
-Each tree is imported in a process of its own (``PYTHONPATH=TREE/src``)
-and solves the same sweep with ``study.solve_window`` at its defaults:
-omega1 and omega2, both element families, nu in {0.35, 0.49, 0.499,
-0.5}, mesh levels 1-3, and the windows (400, 2800), (150, 12000) and
-(150, 30000) rad/s.  One line per window gives both trees'
-factorizations, inverse applications and runs; the summary gives the
-largest relative difference of the in-window kappa, whether every count
-agrees, and the work summed over the sweep.  The exit status is 1 when
-a count differs, a window fails on one side only, or a kappa differs by
-more than 1e-9 relative.
+Each tree is imported in a process of its own (``PYTHONPATH=TREE/src``,
+one BLAS thread, since the Krylov runs of the wide windows take more or
+fewer inverse applications with the thread count) and solves the same
+sweep with ``study.solve_window`` at its defaults: omega1 and omega2,
+both element families, nu in {0.35, 0.49, 0.499, 0.5}, mesh levels 1-3,
+and the windows (400, 2800), (150, 12000) and (150, 30000) rad/s.  One
+line per window gives both trees' factorizations, inverse applications
+and runs, and their dense_fallback and partial flags; the summary gives
+the largest relative difference of the in-window kappa, whether every
+count agrees, and the work and the flags summed over the sweep.  The
+exit status is 1 when a count differs, a window fails on one side only,
+a kappa differs by more than 1e-9 relative, or the trees differ on a
+flag.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ LEVELS = (1, 2, 3)
 WINDOWS = ((400.0, 2800.0), (150.0, 12000.0), (150.0, 30000.0))
 KAPPA_TOL = 1e-9
 WORK = ("factorizations", "inverse_applications", "rungs")
+FLAGS = ("dense_fallback", "partial")
 
 
 def sweep():
@@ -57,12 +61,14 @@ def solve_sweep():
                 continue
             out.append({"kappas": [p.kappa for p in pairs],
                         "count": rep.window_count,
-                        **{k: getattr(rep, k) for k in WORK}})
+                        **{k: getattr(rep, k) for k in WORK + FLAGS}})
     return out
 
 
 def run_tree(tree):
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, os.path.abspath(__file__),
                            "--worker"], env=env, capture_output=True,
                           text=True, check=False)
@@ -74,7 +80,9 @@ def run_tree(tree):
 def compare(old, new):
     """Printed lines and the exit status of the comparison."""
     lines, worst, counts_equal, mismatched = [], 0.0, True, 0
-    totals = {side: dict.fromkeys(WORK, 0) for side in ("old", "new")}
+    flags_equal = True
+    totals = {side: dict.fromkeys(WORK + FLAGS, 0)
+              for side in ("old", "new")}
     for case, a, b in zip(sweep(), old, new):
         geometry, family, nu, level, (w_lo, w_hi) = case
         label = (f"{geometry} {family:11s} nu={nu:<5} N={level} "
@@ -91,19 +99,25 @@ def compare(old, new):
             continue
         for ka, kb in zip(a["kappas"], b["kappas"]):
             worst = max(worst, abs(kb - ka) / abs(ka))
+        flags_equal &= all(a[k] == b[k] for k in FLAGS)
         for side, rec in (("old", a), ("new", b)):
-            for k in WORK:
+            for k in WORK + FLAGS:
                 totals[side][k] += rec[k]
         lines.append(f"{label}  count {a['count']:3d}  "
-                     + "  ".join(f"{k} {a[k]} -> {b[k]}" for k in WORK))
+                     + "  ".join(f"{k} {a[k]} -> {b[k]}"
+                                 for k in WORK + FLAGS))
     lines.append(f"windows: {len(old)}, failing on one side only: "
                  f"{mismatched}")
     lines.append(f"largest relative kappa difference: {worst:.3e} "
                  f"(bound {KAPPA_TOL:g})")
     lines.append(f"counts equal: {counts_equal}")
+    lines.append(f"flags equal: {flags_equal}")
     lines.append("work over the sweep: " + ", ".join(
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in WORK))
-    ok = counts_equal and not mismatched and worst <= KAPPA_TOL
+    lines.append("windows flagged over the sweep: " + ", ".join(
+        f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in FLAGS))
+    ok = (counts_equal and flags_equal and not mismatched
+          and worst <= KAPPA_TOL)
     return lines, 0 if ok else 1
 
 
