@@ -16,9 +16,9 @@ from .meshing import (Mesh, GeometrySpec, build_cavity_mesh, bisect,
 from .elements import (ElementKind, QuadratureRule, DofMap, quadrature,
                        reference_basis, build_dofmap, bdm_interpolate,
                        P1, P2, P1B, DG0, DG1, BDM1, VP1, VP2)
-from .assembly import (MaterialField, BlockSystem, Spaces, lame_from,
-                       build_spaces, assemble_stiffness, assemble_mass,
-                       assemble_interface, build_block_system)
+from .assembly import (MaterialField, BlockSystem, Spaces, build_spaces,
+                       assemble_pencil, assemble_interface,
+                       build_block_system)
 from .eigensolve import (EigenPair, SpectrumReport, solve_pencil,
                          filter_modes, dense_oracle)
 from .estimator import IndicatorSet, Weights, estimate_mode

@@ -8,11 +8,17 @@ The stiffness form collects
     - int lam(x)^-1 p q + int c^2 rho_f div w div tau
     + int_{Gamma_0} g rho_f (w.n)(tau.n)
 
-and the mass form int rho_s u.v + int rho_f w.tau.  Dirichlet rows and
-columns (u on Gamma_D) are eliminated symmetrically; the interface
-constraint couples solid and fluid normal traces through edge moments.
-Each system reduces its constrained pencil once, on the basis W = D Z
-of ker C (``BlockSystem.pencil``).
+and the mass form int rho_s u.v + int rho_f w.tau.  ``assemble_pencil``
+builds both in one pass: the solid quadrature tables (mu and lambda^-1
+included) are evaluated once, the local matrices of A and B are formed
+from them, and all of them are scattered through one cell-order index
+map into the reduced CSR pair.  Dirichlet rows and columns (u on
+Gamma_D) drop out in that map; A and B share one sparsity pattern, and
+an entry and its mirror add the same contributions in the same order,
+so both are bitwise symmetric.  The interface constraint couples solid
+and fluid normal traces through edge moments, built for all interface
+edges at once.  Each system reduces its constrained pencil once, on the
+basis W = D Z of ker C (``BlockSystem.pencil``).
 """
 
 from __future__ import annotations
@@ -87,16 +93,6 @@ def _check_nu(nu):
         raise AssemblyError("Poisson ratio must lie in (0, 1/2]")
 
 
-def lame_from(materials: MaterialField, x):
-    """Pointwise (mu, lambda^-1); lambda^-1 = 0 in the incompressible
-    limit nu = 1/2."""
-    x = np.atleast_2d(np.asarray(x, float))
-    mu, il = materials.lame(x)
-    if mu.size == 1:
-        return float(mu.ravel()[0]), float(il.ravel()[0])
-    return mu, il
-
-
 # ----------------------------------------------------------------------
 # spaces and block layout
 # ----------------------------------------------------------------------
@@ -164,8 +160,9 @@ class Spaces:
     p_map: el.DofMap
     w_map: el.DofMap
     layout: BlockLayout
-    u_vertex_dof: dict      # vertex id -> scalar u dof
-    u_edge_dof: dict        # edge id -> scalar u dof (Taylor-Hood)
+    u_vertex_dof: np.ndarray    # vertex id -> scalar u dof, -1 if none
+    u_edge_dof: np.ndarray      # edge id -> scalar u dof (Taylor-Hood),
+                                # -1 if none
 
     @property
     def n_free(self) -> int:
@@ -215,14 +212,11 @@ def build_spaces(mesh: Mesh, family: str) -> Spaces:
         warnings.warn("no Gamma_D edges: the solid admits rigid motions "
                       "(zero eigenvalues of the stiffness)", stacklevel=2)
 
-    uv = {}
-    ue = {}
-    sel = (u_map.entity == 0) & (u_map.component == 0)
-    for dof, vid in zip(np.flatnonzero(sel), u_map.entity_id[sel]):
-        uv[int(vid)] = int(dof) // 2
-    sel = (u_map.entity == 1) & (u_map.component == 0)
-    for dof, eid in zip(np.flatnonzero(sel), u_map.entity_id[sel]):
-        ue[int(eid)] = int(dof) // 2
+    uv = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    ue = np.full(mesh.num_edges, -1, dtype=np.int64)
+    for table, entity in ((uv, 0), (ue, 1)):
+        sel = (u_map.entity == entity) & (u_map.component == 0)
+        table[u_map.entity_id[sel]] = np.flatnonzero(sel) // 2
     return Spaces(mesh, family, u_map, p_map, w_map, layout, uv, ue)
 
 
@@ -247,14 +241,17 @@ def _vector_expand(S1, S2):
     return K
 
 
-def _solid_tables(spaces, degree):
+def _solid_tables(spaces, materials, degree):
+    """Displacement values and physical gradients, P1 pressure values,
+    volume weights and (mu, lambda^-1) at the quadrature points of the
+    solid cells."""
     q = el.quadrature(degree)
     geo = spaces.solid_geometry
     val_u, grad_u = el.scalar_tables(spaces.u_map.kind, geo, q.points)
     val_p, _, _ = el.scalar_basis_at(el.P1, q.points)
-    pts = el.physical_points(geo, q.points)
     dv = q.weights[None, :] * geo.det[:, None]
-    return q, geo, val_u, grad_u, val_p, pts, dv
+    mu, il = materials.lame(el.physical_points(geo, q.points))
+    return val_u, grad_u, val_p, dv, mu, il
 
 
 CELL_BLOCK = 256          # cells per block of _point_sums' temporaries
@@ -289,63 +286,59 @@ def _point_sums(w, left, right):
     return out
 
 
-def _scatter(rows_list, cols_list, vals_list, Kloc, dofs_r, dofs_c):
-    nt, nr, nc = Kloc.shape
-    rows_list.append(np.repeat(dofs_r, nc, axis=1).ravel())
-    cols_list.append(np.tile(dofs_c, (1, nr)).ravel())
-    vals_list.append(Kloc.ravel())
+def _solid_blocks(spaces, materials, degree):
+    """Local blocks (row dofs, column dofs, A part, B part or None) of
+    the solid cells, from one build of their quadrature tables."""
+    val_u, grad_u, val_p, dv, muq, ilq = _solid_tables(spaces, materials,
+                                                       degree)
+    nt, nq, ns = grad_u.shape[:3]
+    mdv = muq * dv
+    S1 = _point_sums(mdv, grad_u, grad_u)
+    # S2[t, a, b, d, c] = sum_q mu dv d_d phi_a d_c phi_b from the
+    # products of the flattened (a, d) and (b, c) columns
+    G = grad_u.reshape(nt, nq, 2 * ns, 1)
+    S2 = _point_sums(mdv, G, G).reshape(nt, ns, 2, ns, 2).transpose(
+        0, 1, 3, 2, 4)
+    Kuu = _symmetrize(_vector_expand(S1, S2))
+
+    U = val_u[None, ..., None]
+    Ms = _symmetrize(materials.rho_s * _point_sums(dv, U, U))
+    Muu = np.zeros_like(Kuu)
+    Muu[:, 0::2, 0::2] = Ms
+    Muu[:, 1::2, 1::2] = Ms
+
+    # -int p div v: dof (a,c) couples through d_c phi_a
+    P1 = val_p[None, ..., None]
+    Bup = -_point_sums(dv, P1, G).transpose(0, 2, 1)
+    App = _symmetrize(-_point_sums(ilq * dv, P1, P1))
+
+    udofs = spaces.u_map.cell2dof
+    pdofs = spaces.p_map.cell2dof + spaces.layout.off_p
+    return [(udofs, udofs, Kuu, Muu),
+            (udofs, pdofs, Bup, None),
+            (pdofs, udofs, Bup.transpose(0, 2, 1), None),
+            (pdofs, pdofs, App, None)]
 
 
-def assemble_stiffness(mesh: Mesh, spaces: Spaces,
-                       materials: MaterialField, degree: int = 4):
-    """Reduced sparse stiffness matrix (Dirichlet dofs removed)."""
-    lay = spaces.layout
-    rows, cols, vals = [], [], []
-
-    if len(spaces.u_map.tris):
-        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(spaces,
-                                                              degree)
-        muq, ilq = materials.lame(pts)
-        nt, nq, ns = grad_u.shape[:3]
-        mdv = muq * dv
-        S1 = _point_sums(mdv, grad_u, grad_u)
-        # S2[t, a, b, d, c] = sum_q mu dv d_d phi_a d_c phi_b from the
-        # products of the flattened (a, d) and (b, c) columns
-        G = grad_u.reshape(nt, nq, 2 * ns, 1)
-        S2 = _point_sums(mdv, G, G).reshape(nt, ns, 2, ns, 2).transpose(
-            0, 1, 3, 2, 4)
-        Kuu = _symmetrize(_vector_expand(S1, S2))
-
-        # -int p div v: dof (a,c) couples through d_c phi_a
-        P1 = val_p[None, ..., None]
-        Bup = -_point_sums(dv, P1, G).transpose(0, 2, 1)
-
-        App = _symmetrize(-_point_sums(ilq * dv, P1, P1))
-
-        udofs = spaces.u_map.cell2dof
-        pdofs = spaces.p_map.cell2dof + lay.off_p
-        _scatter(rows, cols, vals, Kuu, udofs, udofs)
-        _scatter(rows, cols, vals, Bup, udofs, pdofs)
-        _scatter(rows, cols, vals, Bup.transpose(0, 2, 1), pdofs, udofs)
-        _scatter(rows, cols, vals, App, pdofs, pdofs)
-
-    if len(spaces.w_map.tris):
-        coeff, geo_f = spaces.bdm
-        divs = coeff @ np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        c2rf = materials.c ** 2 * materials.rho_f
-        Kww = _symmetrize(c2rf * np.einsum("t,ti,tj->tij", geo_f.area, divs, divs))
-        wdofs = spaces.w_map.cell2dof + lay.off_w
-        _scatter(rows, cols, vals, Kww, wdofs, wdofs)
-
-        g0 = mesh.edges_with_tag(GAMMA_0)
-        if len(g0):
-            Ke, edofs = _gamma0_edge_matrices(mesh, spaces, coeff, geo_f,
-                                              materials)
-            _scatter(rows, cols, vals, Ke, edofs + lay.off_w,
-                     edofs + lay.off_w)
-
-    A = _to_csr(rows, cols, vals, lay.n_full)
-    return _reduce(A, lay)
+def _fluid_blocks(mesh, spaces, materials, degree):
+    """Local blocks of the fluid cells and of the free-surface edges."""
+    coeff, geo = spaces.bdm
+    q = el.quadrature(degree)
+    cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
+    valw, divs = el.bdm_eval(coeff, cpts)
+    c2rf = materials.c ** 2 * materials.rho_f
+    Kww = _symmetrize(c2rf * np.einsum("t,ti,tj->tij", geo.area, divs,
+                                       divs))
+    dvf = q.weights[None, :] * geo.det[:, None]
+    Mww = _symmetrize(materials.rho_f * _point_sums(dvf, valw, valw))
+    off_w = spaces.layout.off_w
+    wdofs = spaces.w_map.cell2dof + off_w
+    blocks = [(wdofs, wdofs, Kww, Mww)]
+    if len(mesh.edges_with_tag(GAMMA_0)):
+        Ke, edofs = _gamma0_edge_matrices(mesh, spaces, coeff, geo,
+                                          materials)
+        blocks.append((edofs + off_w, edofs + off_w, Ke, None))
+    return blocks
 
 
 def _gamma0_edge_matrices(mesh, spaces, coeff, geo_f, materials):
@@ -366,55 +359,61 @@ def _gamma0_edge_matrices(mesh, spaces, coeff, geo_f, materials):
     return _symmetrize(Ke), spaces.w_map.cell2dof[k]
 
 
-def assemble_mass(mesh: Mesh, spaces: Spaces, materials: MaterialField,
-                  degree: int = 4):
-    """Reduced sparse mass matrix; identically zero on the pressure block."""
-    lay = spaces.layout
-    rows, cols, vals = [], [], []
+def _cell_order_csr(blocks, lay):
+    """Scatter local blocks into the reduced CSR pair (A, B).
 
+    Each local entry is keyed by its reduced position
+    pos[row] * n_free + pos[col]; entries on Dirichlet dofs (pos -1)
+    drop out.  One ``np.unique`` of the keys gives the pattern of both
+    matrices, and ``np.add.at`` adds the contributions to each entry one
+    at a time in the order the blocks list them, cell by cell.  An entry
+    and its mirror thus sum the same values in the same order, so A and
+    B are bitwise symmetric; entries that cancel exactly are not stored,
+    and the arrays of each matrix hold its own entries only.
+    """
+    n = lay.n_free
+    # keys fit in 32 bits up to n_free = 46340, which halves the memory
+    # of the sort in np.unique
+    pos = lay.pos.astype(np.int32 if n * n < 2 ** 31 else np.int64)
+    keeps, keys = [], []
+    for rows, cols, _, _ in blocks:
+        r = pos[rows][:, :, None]
+        c = pos[cols][:, None, :]
+        keeps.append(((r >= 0) & (c >= 0)).ravel())
+        keys.append((r * n + c).ravel()[keeps[-1]])
+    # the per-block keys are released before np.unique, which keeps the
+    # scatter's peak memory low
+    sizes = [len(k) for k in keys]
+    keys = np.concatenate(keys)
+    pattern, inv = np.unique(keys, return_inverse=True)
+    del keys
+    segments = np.split(inv, np.cumsum(sizes)[:-1])
+    rows, cols = np.divmod(pattern, n)
+
+    def fill(part):         # part 2: the A matrices of the blocks, 3: B
+        data = np.zeros(len(pattern))
+        for block, keep, seg in zip(blocks, keeps, segments):
+            if block[part] is not None:
+                np.add.at(data, seg, block[part].ravel()[keep])
+        stored = data != 0.0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[stored], minlength=n), out=indptr[1:])
+        return sp.csr_matrix((data[stored], cols[stored], indptr),
+                             shape=(n, n))
+
+    return fill(2), fill(3)
+
+
+def assemble_pencil(mesh: Mesh, spaces: Spaces, materials: MaterialField,
+                    degree: int = 4):
+    """Reduced sparse stiffness A and mass B (Dirichlet dofs removed),
+    assembled in one pass; B is identically zero on the pressure block."""
+    blocks = []
     if len(spaces.u_map.tris):
-        q, geo, val_u, grad_u, val_p, pts, dv = _solid_tables(spaces,
-                                                              degree)
-        U = val_u[None, ..., None]
-        Ms = _symmetrize(materials.rho_s * _point_sums(dv, U, U))
-        nt, ns = Ms.shape[0], Ms.shape[1]
-        Muu = np.zeros((nt, 2 * ns, 2 * ns))
-        Muu[:, 0::2, 0::2] = Ms
-        Muu[:, 1::2, 1::2] = Ms
-        udofs = spaces.u_map.cell2dof
-        _scatter(rows, cols, vals, Muu, udofs, udofs)
-
+        blocks += _solid_blocks(spaces, materials, degree)
     if len(spaces.w_map.tris):
-        coeff, geo_f = spaces.bdm
-        q = el.quadrature(degree)
-        pts = el.physical_points(geo_f, q.points)
-        cpts = pts - geo_f.centroid[:, None, :]
-        valw, _ = el.bdm_eval(coeff, cpts)
-        dvf = q.weights[None, :] * geo_f.det[:, None]
-        Mww = _symmetrize(materials.rho_f * _point_sums(dvf, valw, valw))
-        wdofs = spaces.w_map.cell2dof + lay.off_w
-        _scatter(rows, cols, vals, Mww, wdofs, wdofs)
-
-    B = _to_csr(rows, cols, vals, lay.n_full)
-    return _reduce(B, lay)
-
-
-def _to_csr(rows, cols, vals, n):
-    if not rows:
-        return sp.csr_matrix((n, n))
-    A = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    A = A.tocsr()
-    # duplicate summation order is not guaranteed stable, so mirror
-    # entries can differ by one ulp; (A + A^T)/2 is bitwise symmetric
-    return (0.5 * (A + A.T)).tocsr()
-
-
-def _reduce(A, lay):
-    if lay.n_free == lay.n_full:
-        return A
-    return A[lay.free][:, lay.free].tocsr()
+        blocks += _fluid_blocks(mesh, spaces, materials, degree)
+    return _cell_order_csr(blocks, spaces.layout)
 
 
 # ----------------------------------------------------------------------
@@ -445,45 +444,35 @@ def assemble_interface(mesh: Mesh, spaces: Spaces):
     """
     lay = spaces.layout
     ifc = mesh.edges_with_tag(INTERFACE)
-    order = 1 if spaces.family == "mini" else 2
+    ne = len(ifc)
     tq, wq = el.edge_gauss(3)
     zeta = np.stack([np.ones_like(tq), el.SQRT3 * (2.0 * tq - 1.0)])
-    trace = _edge_trace_table(order, tq)            # (nq, ntr)
-    moments = np.einsum("q,mq,qa->ma", wq, zeta, trace)
+    trace = _edge_trace_table(1 if spaces.family == "mini" else 2, tq)
+    moments = np.einsum("q,mq,qa->ma", wq, zeta, trace)    # (2, ntr)
+    _, _, nrm, _ = mesh.edge_frames(ifc)
 
-    w_epos = {}
-    sel = (spaces.w_map.entity == 1) & (spaces.w_map.component == 0)
-    for dof, eid in zip(np.flatnonzero(sel), spaces.w_map.entity_id[sel]):
-        w_epos[int(eid)] = int(dof)
-
-    rows, cols, vals = [], [], []
-    wdof_rows = np.empty(2 * len(ifc), dtype=np.int64)
-    for r, e in enumerate(ifc):
-        va, vb = (int(v) for v in mesh.edges[e])
-        pa, pb = mesh.vertices[va], mesh.vertices[vb]
-        tang = pb - pa
-        nrm = np.array([tang[1], -tang[0]])
-        nrm /= np.linalg.norm(nrm)
-        sdofs = [spaces.u_vertex_dof[va], spaces.u_vertex_dof[vb]]
-        if order == 2:
-            sdofs.append(spaces.u_edge_dof[int(e)])
-        wdof = w_epos[int(e)]
-        for m in range(2):
-            row = 2 * r + m
-            for a, s in enumerate(sdofs):
-                for c in range(2):
-                    rows.append(row)
-                    cols.append(2 * s + c)
-                    vals.append(moments[m, a] * nrm[c])
-            rows.append(row)
-            cols.append(lay.off_w + wdof + m)
-            vals.append(-1.0)
-            wdof_rows[row] = lay.pos[lay.off_w + wdof + m]
-    C = sp.coo_matrix((vals, (rows, cols)),
-                      shape=(2 * len(ifc), lay.n_full)).tocsr()
-    if lay.n_free != lay.n_full:
-        C = C[:, lay.free].tocsr()
-    return C, wdof_rows
+    # row 2 r + m of edge r: moment m against each trace dof a and
+    # component c at column 2 s_a + c, then -1 on the fluid moment dof m
+    sdofs = [spaces.u_vertex_dof[mesh.edges[ifc, 0]],
+             spaces.u_vertex_dof[mesh.edges[ifc, 1]]]
+    if spaces.family != "mini":
+        sdofs.append(spaces.u_edge_dof[ifc])
+    width = 2 * len(sdofs)
+    ucols = 2 * np.stack(sdofs, axis=1)[:, :, None] + np.arange(2)
+    wcols = lay.off_w + 2 * np.searchsorted(
+        spaces.w_map.entity_id[0::2], ifc)[:, None] + np.arange(2)
+    cols = np.concatenate([
+        np.broadcast_to(ucols.reshape(ne, 1, width), (ne, 2, width)),
+        wcols[:, :, None]], axis=2)
+    uvals = moments[None, :, :, None] * nrm[:, None, None, :]
+    vals = np.concatenate([uvals.reshape(ne, 2, width),
+                           np.full((ne, 2, 1), -1.0)], axis=2)
+    rows = np.broadcast_to(np.arange(2 * ne).reshape(ne, 2, 1), cols.shape)
+    cols = lay.pos[cols]
+    keep = cols >= 0
+    C = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(2 * ne, lay.n_free))
+    return C, lay.pos[wcols].ravel()
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +617,6 @@ class BlockSystem:
 def build_block_system(mesh: Mesh, family: str, materials: MaterialField,
                        degree: int = 4) -> BlockSystem:
     spaces = build_spaces(mesh, family)
-    A = assemble_stiffness(mesh, spaces, materials, degree)
-    B = assemble_mass(mesh, spaces, materials, degree)
+    A, B = assemble_pencil(mesh, spaces, materials, degree)
     C, wdofs = assemble_interface(mesh, spaces)
     return BlockSystem(A, B, C, spaces.layout, spaces, wdofs)

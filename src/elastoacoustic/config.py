@@ -7,6 +7,7 @@ ELASTOACOUSTIC_OUTDIR environment variable sets the output root.
 
 from __future__ import annotations
 
+import inspect
 import os
 from dataclasses import dataclass, replace
 
@@ -17,6 +18,10 @@ from .elements import MAX_QUAD_DEGREE
 
 class ConfigError(Exception):
     pass
+
+
+GEOMETRY_KEYS = ("fluid_width", "fluid_height", "wall", "wall_height",
+                 "step", "clamp")
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,12 @@ class RunConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.geometry not in meshing.PRESETS:
             raise ConfigError(f"unknown geometry preset {self.geometry!r}")
+        accepted = inspect.signature(
+            meshing.PRESETS[self.geometry]).parameters
+        for key in GEOMETRY_KEYS:
+            if getattr(self, key) is not None and key not in accepted:
+                raise ConfigError(f"geometry preset {self.geometry!r} "
+                                  f"takes no {key!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]")
         for name in ("n_modes", "initial_level", "mode_index", "max_dofs",
@@ -89,17 +100,9 @@ class RunConfig:
                               "0 < w_lo < w_hi in rad/s")
 
     def geometry_spec(self) -> meshing.GeometrySpec:
-        kwargs = {}
-        for key in ("fluid_width", "fluid_height", "wall", "wall_height",
-                    "step", "clamp"):
-            val = getattr(self, key)
-            if val is not None:
-                kwargs[key] = val
-        builder = meshing.PRESETS[self.geometry]
-        import inspect
-        allowed = set(inspect.signature(builder).parameters)
-        kwargs = {k: v for k, v in kwargs.items() if k in allowed}
-        return builder(**kwargs)
+        kwargs = {key: getattr(self, key) for key in GEOMETRY_KEYS
+                  if getattr(self, key) is not None}
+        return meshing.PRESETS[self.geometry](**kwargs)
 
     def materials(self, nu=None) -> MaterialField:
         return MaterialField(E=self.e_modulus,

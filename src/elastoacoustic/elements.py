@@ -390,12 +390,10 @@ def build_dofmap(mesh: Mesh, kind: ElementKind, subdomain) -> DofMap:
 
     if kind is BDM1:
         eids = np.unique(tedges)
-        epos = {int(e): i for i, e in enumerate(eids)}
+        ge = np.searchsorted(eids, tedges)
         cell2dof = np.empty((len(tris), 6), dtype=np.int64)
-        for i in range(3):
-            ge = np.array([epos[int(e)] for e in tedges[:, i]])
-            cell2dof[:, 2 * i] = 2 * ge
-            cell2dof[:, 2 * i + 1] = 2 * ge + 1
+        cell2dof[:, 0::2] = 2 * ge
+        cell2dof[:, 1::2] = 2 * ge + 1
         ndof = 2 * len(eids)
         entity = np.ones(ndof, dtype=np.int8)
         entity_id = np.repeat(eids, 2)
@@ -403,51 +401,33 @@ def build_dofmap(mesh: Mesh, kind: ElementKind, subdomain) -> DofMap:
         return DofMap(kind, subdomain, tris, cell2dof, ndof,
                       entity, entity_id, component)
 
+    # scalar dof columns: vertices, edges, then cells, each numbered by
+    # the position of its entity id in the sorted block
     blocks = []
+    columns = []
     nscalar = 0
-    vpos = epos = cpos = None
     if kind.n_vertex:
         vids = np.unique(conn)
-        vpos = {int(v): i for i, v in enumerate(vids)}
-        blocks.append(("v", vids))
+        columns.append(np.searchsorted(vids, conn))
+        blocks.append((0, vids, 1))
         nscalar += len(vids)
     if kind.n_edge:
         eids = np.unique(tedges)
-        epos = {int(e): nscalar + i for i, e in enumerate(eids)}
-        blocks.append(("e", eids))
+        columns.append(nscalar + np.searchsorted(eids, tedges))
+        blocks.append((1, eids, 1))
         nscalar += len(eids)
     if kind.n_cell:
-        off = nscalar
-        cpos = {int(t): off + kind.n_cell * i for i, t in enumerate(tris)}
-        blocks.append(("c", tris))
+        first = nscalar + kind.n_cell * np.arange(len(tris))
+        columns.append(first[:, None] + np.arange(kind.n_cell))
+        blocks.append((2, tris, kind.n_cell))
         nscalar += kind.n_cell * len(tris)
+    scalar_c2d = np.concatenate(columns, axis=1).astype(np.int64)
+    ns_local = scalar_c2d.shape[1]
 
-    ns_local = scalar_local_size(kind)
-    scalar_c2d = np.empty((len(tris), ns_local), dtype=np.int64)
-    col = 0
-    if kind.n_vertex:
-        for i in range(3):
-            scalar_c2d[:, col] = [vpos[int(v)] for v in conn[:, i]]
-            col += 1
-    if kind.n_edge:
-        for i in range(3):
-            scalar_c2d[:, col] = [epos[int(e)] for e in tedges[:, i]]
-            col += 1
-    if kind.n_cell:
-        for k in range(kind.n_cell):
-            scalar_c2d[:, col] = [cpos[int(t)] + k for t in tris]
-            col += 1
-
-    entity = np.empty(nscalar, dtype=np.int8)
-    entity_id = np.empty(nscalar, dtype=np.int64)
-    pos = 0
-    for tag, ids in blocks:
-        code = {"v": 0, "e": 1, "c": 2}[tag]
-        rep = kind.n_cell if tag == "c" else 1
-        n = len(ids) * rep
-        entity[pos:pos + n] = code
-        entity_id[pos:pos + n] = np.repeat(ids, rep)
-        pos += n
+    entity = np.concatenate([np.full(len(ids) * rep, code, dtype=np.int8)
+                             for code, ids, rep in blocks])
+    entity_id = np.concatenate([np.repeat(ids, rep).astype(np.int64)
+                                for _, ids, rep in blocks])
 
     if kind.vector:
         cell2dof = np.empty((len(tris), 2 * ns_local), dtype=np.int64)

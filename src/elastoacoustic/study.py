@@ -192,8 +192,10 @@ def extrapolate(N_values, omegas):
     (omega_extr, t, C).
 
     Deterministic initialization: t0 = 2, omega0 = last omega, C0 from
-    the first point.  Non-convergence returns the best iterate with a
-    flag via StudyError only for invalid input.
+    the first point.  The Levenberg-Marquardt fit returns its last
+    iterate even if it stops unconverged; StudyError is raised only for
+    invalid input (fewer than three pairs, lengths that differ, or an N
+    or omega that is not positive).
     """
     N = np.asarray(N_values, float)
     w = np.asarray(omegas, float)

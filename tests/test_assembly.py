@@ -5,29 +5,27 @@ from numpy.testing import assert_allclose
 from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
 from elastoacoustic.assembly import (AssemblyError, MaterialField,
-                                     assemble_interface, assemble_mass,
-                                     assemble_stiffness,
-                                     build_block_system, build_spaces,
-                                     lame_from)
+                                     assemble_pencil, build_block_system,
+                                     build_spaces)
 from elastoacoustic.eigensolve import dense_oracle
 
 
 class TestLame:
     def test_paper_parameters(self):
         mats = MaterialField(E=1.44e11, nu=0.35)
-        mu, il = lame_from(mats, (0.5, 0.5))
+        mu, il = mats.lame(np.array([0.5, 0.5]))
         assert mu == pytest.approx(1.44e11 / 2.7)
         assert il == pytest.approx(1.0 / 1.2444444444444444e11)
 
     def test_incompressible_limit(self):
         mats = MaterialField(E=1.0, nu=0.5)
-        mu, il = lame_from(mats, (0.0, 0.0))
+        mu, il = mats.lame(np.array([0.0, 0.0]))
         assert mu == pytest.approx(1 / 3)
         assert il == 0.0
 
     def test_variable_young_modulus(self):
         mats = MaterialField(E=lambda x: 2.0 + x[:, 0], nu=0.25)
-        mu, il = lame_from(mats, (1.0, 0.3))
+        mu, il = mats.lame(np.array([1.0, 0.3]))
         assert mu == pytest.approx(1.2)
         assert il == pytest.approx(5 / 6)
 
@@ -58,7 +56,7 @@ class TestStiffness:
         mesh = _single_solid_mesh()
         mats = MaterialField(E=1.25, nu=0.25)   # mu = 1/2
         spaces = build_spaces(mesh, "mini")
-        A = assemble_stiffness(mesh, spaces, mats)
+        A, _ = assemble_pencil(mesh, spaces, mats)
         x = np.zeros(spaces.layout.n_free)
         sel = (spaces.u_map.entity == 0) & (spaces.u_map.component == 0)
         for dof, vid in zip(np.flatnonzero(sel),
@@ -72,7 +70,7 @@ class TestStiffness:
         mesh = _single_solid_mesh()
         mats = MaterialField(E=1.0, nu=0.3)
         sp = build_spaces(mesh, "mini")
-        As = assemble_stiffness(mesh, sp, mats)
+        As, _ = assemble_pencil(mesh, sp, mats)
         xs = np.zeros(sp.layout.n_free)
         xs[0:6:2] = 1.0
         xs[1:6:2] = 1.0
@@ -83,7 +81,7 @@ class TestStiffness:
         mesh = _single_fluid_triangle()
         mats = MaterialField(c=1.0, rho_f=1.0, g=1e-30)
         spaces = build_spaces(mesh, "mini")
-        A = assemble_stiffness(mesh, spaces, mats).toarray()
+        A = assemble_pencil(mesh, spaces, mats)[0].toarray()
         K = A[:6, :6]  # single fluid triangle: w block leads the layout
 
         # independent construction: solve the moment conditions
@@ -133,9 +131,9 @@ class TestStiffness:
     def test_gamma0_term_only_on_surface_edges(self, omega1_n2,
                                                materials):
         spaces = build_spaces(omega1_n2, "mini")
-        A1 = assemble_stiffness(omega1_n2, spaces, materials)
+        A1, _ = assemble_pencil(omega1_n2, spaces, materials)
         mats0 = MaterialField(**{**materials.__dict__, "g": 1e-30})
-        A0 = assemble_stiffness(omega1_n2, spaces, mats0)
+        A0, _ = assemble_pencil(omega1_n2, spaces, mats0)
         diff = (A1 - A0).tocoo()
         # the difference rows live on the fluid moment dofs of the
         # free-surface edges only
@@ -149,10 +147,26 @@ class TestStiffness:
         allowed = np.flatnonzero(sel) + sw.start
         assert np.isin(touched, allowed).all()
 
-    def test_exact_symmetry(self, coupled_system_th):
-        A, B = coupled_system_th.A, coupled_system_th.B
-        assert abs(A - A.T).max() == 0.0
-        assert abs(B - B.T).max() == 0.0
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    def test_exact_symmetry(self, omega1_n2, family):
+        # mirror entries sum the same cell contributions in the same
+        # order, and exact cancellations are not stored
+        mats = MaterialField(E=lambda x: 1.44e11 * (1.0 + x[:, 0] ** 2),
+                             nu=0.35)
+        sys_ = build_block_system(omega1_n2, family, mats)
+        for M in (sys_.A, sys_.B):
+            assert abs(M - M.T).max() == 0.0
+            assert (M.data != 0.0).all()
+
+    def test_solid_tables_built_once(self, omega1_n1, materials,
+                                     monkeypatch):
+        from elastoacoustic import assembly
+        calls = []
+        tables = assembly._solid_tables
+        monkeypatch.setattr(assembly, "_solid_tables",
+                            lambda *a: calls.append(1) or tables(*a))
+        build_block_system(omega1_n1, "taylor-hood", materials)
+        assert len(calls) == 1
 
     def test_incompressible_pressure_block_zero(self, omega1_n1):
         mats = MaterialField(nu=0.5)
@@ -172,10 +186,22 @@ class TestMass:
         mesh = _single_solid_mesh()
         mats = MaterialField(E=1.0, nu=0.3, rho_s=1.0)
         spaces = build_spaces(mesh, "mini")
-        B = assemble_mass(mesh, spaces, mats).toarray()
+        B = assemble_pencil(mesh, spaces, mats)[1].toarray()
         Mx = B[0:6:2, 0:6:2]
         exact = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
         assert_allclose(Mx, exact, atol=1e-15)
+
+    def test_fluid_mass_with_64_bit_keys(self, materials):
+        # n_free^2 >= 2^31 needs 64-bit scatter keys; the mass of the
+        # interpolated constant flow (1, 0) is rho_f times the area
+        mesh = msh.build_cavity_mesh(msh.unit_square_fluid(), 100)
+        spaces = build_spaces(mesh, "mini")
+        assert spaces.n_free ** 2 >= 2 ** 31
+        _, B = assemble_pencil(mesh, spaces, materials)
+        w = el.bdm_interpolate(mesh, lambda x: np.tile([1.0, 0.0],
+                                                       (len(x), 1)))
+        assert abs(B - B.T).max() == 0.0
+        assert w @ (B @ w) == pytest.approx(materials.rho_f, rel=1e-12)
 
     def test_pressure_block_identically_zero(self, coupled_system_th):
         lay = coupled_system_th.layout
@@ -190,7 +216,7 @@ class TestMass:
         # solid (C0 partition of unity; the MINI bubble is excluded)
         mesh = _single_solid_mesh()
         sp2 = build_spaces(mesh, family)
-        B2 = assemble_mass(mesh, sp2, materials)
+        _, B2 = assemble_pencil(mesh, sp2, materials)
         e = np.zeros(sp2.layout.n_free)
         sel = (sp2.u_map.entity != 2) & (sp2.u_map.component == 0)
         e[np.flatnonzero(sel)] = 1.0
@@ -247,10 +273,6 @@ class TestInterface:
         tq = np.linspace(0.05, 0.95, 7)
         zeta1 = np.sqrt(3.0) * (2 * tq - 1)
         wmap = spaces.w_map
-        w_epos = {}
-        sel = (wmap.entity == 1) & (wmap.component == 0)
-        for dof, eid in zip(np.flatnonzero(sel), wmap.entity_id[sel]):
-            w_epos[int(eid)] = int(dof)
         scale = np.abs(x).max()
         for e in omega1_n2.edges_with_tag(msh.INTERFACE):
             va, vb = (int(v) for v in omega1_n2.edges[e])
@@ -262,9 +284,35 @@ class TestInterface:
             sb = spaces.u_vertex_dof[vb]
             un = ((1 - tq) * (u[2 * sa] * nrm[0] + u[2 * sa + 1] * nrm[1])
                   + tq * (u[2 * sb] * nrm[0] + u[2 * sb + 1] * nrm[1]))
-            d0 = w_epos[int(e)]
+            d0 = np.flatnonzero(wmap.entity_id == e)[0]
             wn = w[d0] + w[d0 + 1] * zeta1
             assert np.abs(un - wn).max() < 1e-10 * max(scale, 1)
+
+    def test_quadratic_trace_satisfies_taylor_hood_rows(self, omega1_n2,
+                                                         materials):
+        # a quadratic field is exact on the P2 nodes, and its BDM1
+        # interpolant carries the same two normal moments per edge, so
+        # every row of C vanishes; the edge-midpoint dofs enter through
+        # Spaces.u_edge_dof
+        def field(x):
+            return np.column_stack([x[:, 0] ** 2 + 2 * x[:, 0] * x[:, 1]
+                                    - x[:, 1],
+                                    3 * x[:, 1] ** 2 - x[:, 0] * x[:, 1]
+                                    + x[:, 0]])
+
+        sys_ = build_block_system(omega1_n2, "taylor-hood", materials)
+        lay, umap = sys_.layout, sys_.spaces.u_map
+        verts, edges = omega1_n2.vertices, omega1_n2.edges
+        on_vertex = umap.entity == 0        # the rest sit on edges
+        nodes = np.empty((lay.n_u, 2))
+        nodes[on_vertex] = verts[umap.entity_id[on_vertex]]
+        nodes[~on_vertex] = verts[edges[umap.entity_id[~on_vertex]]].mean(
+            axis=1)
+        full = np.zeros(lay.n_full)
+        full[:lay.n_u] = field(nodes)[np.arange(lay.n_u), umap.component]
+        full[lay.off_w:lay.off_p] = el.bdm_interpolate(omega1_n2, field)
+        x = full[lay.free]
+        assert np.abs(sys_.C @ x).max() < 1e-12 * np.abs(x).max()
 
     def test_quadratic_trace_projection_residual(self):
         # Taylor-Hood normal trace t(1-t) against the two moments leaves
@@ -336,8 +384,8 @@ class TestScalingAndStability:
         for N in (1, 2, 4):
             mesh = msh.build_cavity_mesh(msh.unit_square_solid(), N)
             spaces = build_spaces(mesh, "taylor-hood")
-            A = assemble_stiffness(mesh, spaces, materials).toarray()
-            Bm = assemble_mass(mesh, spaces, materials).toarray()
+            A, Bm = (M.toarray()
+                     for M in assemble_pencil(mesh, spaces, materials))
             lay = spaces.layout
             su, sw, sp_ = lay.reduced_slices()
             G = A[sp_, su]            # pressure-velocity coupling

@@ -112,6 +112,16 @@ class TestConfig:
         assert spec.xs[0] == pytest.approx(-0.2)
         assert spec.xs[-1] == pytest.approx(1.7)
 
+    @pytest.mark.parametrize("geometry, key, value", [
+        ("omega1", "step", 0.3),
+        ("omega2", "wall_height", 1.2),
+        ("unit_square_fluid", "clamp", "outer"),
+    ])
+    def test_geometry_key_foreign_to_preset_rejected(self, geometry, key,
+                                                     value):
+        with pytest.raises(ConfigError, match=f"{geometry}.*{key}"):
+            RunConfig(geometry=geometry, **{key: value})
+
 
 class TestCli:
     def test_mesh_subcommand(self, tmp_path, capsys):

@@ -11,10 +11,11 @@ and the windows (400, 2800), (150, 12000) and (150, 30000) rad/s.  One
 line per window gives both trees' factorizations, inverse applications
 and runs, and their dense_fallback and partial flags; the summary gives
 the largest relative difference of the in-window kappa, whether every
-count agrees, and the work and the flags summed over the sweep.  The
-exit status is 1 when a count differs, a window fails on one side only,
-a kappa differs by more than 1e-9 relative, or the trees differ on a
-flag.
+count agrees, the work and the flags summed over the sweep, and the
+stored entries (nnz) of A, B and C summed over its systems, which are
+reported only.  The exit status is 1 when a count differs, a window
+fails on one side only, a kappa differs by more than 1e-9 relative, or
+the trees differ on a flag.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ WINDOWS = ((400.0, 2800.0), (150.0, 12000.0), (150.0, 30000.0))
 KAPPA_TOL = 1e-9
 WORK = ("factorizations", "inverse_applications", "rungs")
 FLAGS = ("dense_fallback", "partial")
+MATRICES = ("A", "B", "C")
 
 
 def sweep():
@@ -42,16 +44,19 @@ def sweep():
 
 
 def solve_sweep():
-    """Solve every window of the sweep with the package on sys.path; one
-    JSON record per window, in sweep order."""
+    """Solve every window of the sweep with the package on sys.path: the
+    nnz of each system's matrices, and one JSON record per window in
+    sweep order."""
     import elastoacoustic as ea
 
-    out = []
+    nnz, out = dict.fromkeys(MATRICES, 0), []
     for geometry, family, nu, level in itertools.product(
             GEOMETRIES, FAMILIES, NUS, LEVELS):
         mesh = ea.build_cavity_mesh(ea.meshing.PRESETS[geometry](), level)
         system = ea.build_block_system(mesh, family,
                                        ea.MaterialField(nu=nu))
+        for name in MATRICES:
+            nnz[name] += getattr(system, name).nnz
         for window in WINDOWS:
             try:
                 pairs, rep = ea.solve_window(system, window)
@@ -62,7 +67,7 @@ def solve_sweep():
             out.append({"kappas": [p.kappa for p in pairs],
                         "count": rep.window_count,
                         **{k: getattr(rep, k) for k in WORK + FLAGS}})
-    return out
+    return {"nnz": nnz, "windows": out}
 
 
 def run_tree(tree):
@@ -78,7 +83,10 @@ def run_tree(tree):
 
 
 def compare(old, new):
-    """Printed lines and the exit status of the comparison."""
+    """Printed lines and the exit status of the comparison of two sweep
+    results."""
+    old_nnz, new_nnz = old["nnz"], new["nnz"]
+    old, new = old["windows"], new["windows"]
     lines, worst, counts_equal, mismatched = [], 0.0, True, 0
     flags_equal = True
     totals = {side: dict.fromkeys(WORK + FLAGS, 0)
@@ -116,6 +124,8 @@ def compare(old, new):
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in WORK))
     lines.append("windows flagged over the sweep: " + ", ".join(
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in FLAGS))
+    lines.append("nnz over the sweep systems: " + ", ".join(
+        f"{k} {old_nnz[k]} -> {new_nnz[k]}" for k in MATRICES))
     ok = (counts_equal and flags_equal and not mismatched
           and worst <= KAPPA_TOL)
     return lines, 0 if ok else 1
