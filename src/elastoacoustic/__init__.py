@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 
 from .meshing import (Mesh, GeometrySpec, build_cavity_mesh, bisect,
                       validate, omega1, omega2, unit_square_solid,
-                      unit_square_fluid, read_mesh, write_mesh, read_gmsh,
+                      unit_square_fluid, read_mesh, write_mesh,
                       SOLID, FLUID, GAMMA_D, GAMMA_N, GAMMA_0, INTERFACE,
                       INTERIOR)
 from .elements import (ElementKind, QuadratureRule, DofMap, quadrature,
-                       reference_basis, build_dofmap, bdm_interpolate,
-                       P1, P2, P1B, DG0, DG1, BDM1, VP1, VP2)
+                       build_dofmap, bdm_interpolate, P1, P2, P1B, BDM1,
+                       VP2)
 from .assembly import (MaterialField, BlockSystem, Spaces, build_spaces,
                        assemble_pencil, assemble_interface,
                        build_block_system)

@@ -232,8 +232,7 @@ def adaptive_solve(config: RunConfig, nu=None) -> AdaptiveHistory:
     expect = config.n_modes
     for iteration in range(config.max_iterations):
         t0 = time.perf_counter()
-        system = build_block_system(mesh, config.family, mats,
-                                    config.assembly_degree)
+        system = build_block_system(mesh, config.family, mats)
         spaces = system.spaces
         pairs, window = solve_window(system, config.window,
                                      seed=config.seed, expect=expect)
@@ -246,9 +245,7 @@ def adaptive_solve(config: RunConfig, nu=None) -> AdaptiveHistory:
         else:
             mode = track_mode(*prev, mesh, spaces, system, pairs, history,
                               nearest_omega=history.records[-1]["omega"])
-        eta2, theta2, indicators = estimate_mode(
-            mesh, spaces, mode, mats, config.estimator_degree,
-            config.projection_degree)
+        eta2, theta2, indicators = estimate_mode(mesh, spaces, mode, mats)
         err = abs(mode.kappa - ref ** 2) if ref is not None else None
         eff = effectivity(err, eta2) if err is not None else None
         history.append(iteration=iteration, dofs=system.n,

@@ -36,6 +36,7 @@ from .meshing import (Mesh, SOLID, FLUID, GAMMA_D, GAMMA_0, INTERFACE)
 
 FAMILIES = ("mini", "taylor-hood")
 ORACLE_CAP = 2000         # largest system reduced with dense algebra
+QUAD_DEGREE = 4           # degree of the volume quadrature rule
 
 
 class AssemblyError(Exception):
@@ -241,11 +242,11 @@ def _vector_expand(S1, S2):
     return K
 
 
-def _solid_tables(spaces, materials, degree):
+def _solid_tables(spaces, materials):
     """Displacement values and physical gradients, P1 pressure values,
     volume weights and (mu, lambda^-1) at the quadrature points of the
     solid cells."""
-    q = el.quadrature(degree)
+    q = el.quadrature(QUAD_DEGREE)
     geo = spaces.solid_geometry
     val_u, grad_u = el.scalar_tables(spaces.u_map.kind, geo, q.points)
     val_p, _, _ = el.scalar_basis_at(el.P1, q.points)
@@ -286,11 +287,10 @@ def _point_sums(w, left, right):
     return out
 
 
-def _solid_blocks(spaces, materials, degree):
+def _solid_blocks(spaces, materials):
     """Local blocks (row dofs, column dofs, A part, B part or None) of
     the solid cells, from one build of their quadrature tables."""
-    val_u, grad_u, val_p, dv, muq, ilq = _solid_tables(spaces, materials,
-                                                       degree)
+    val_u, grad_u, val_p, dv, muq, ilq = _solid_tables(spaces, materials)
     nt, nq, ns = grad_u.shape[:3]
     mdv = muq * dv
     S1 = _point_sums(mdv, grad_u, grad_u)
@@ -320,10 +320,10 @@ def _solid_blocks(spaces, materials, degree):
             (pdofs, pdofs, App, None)]
 
 
-def _fluid_blocks(mesh, spaces, materials, degree):
+def _fluid_blocks(mesh, spaces, materials):
     """Local blocks of the fluid cells and of the free-surface edges."""
     coeff, geo = spaces.bdm
-    q = el.quadrature(degree)
+    q = el.quadrature(QUAD_DEGREE)
     cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
     valw, divs = el.bdm_eval(coeff, cpts)
     c2rf = materials.c ** 2 * materials.rho_f
@@ -404,15 +404,14 @@ def _cell_order_csr(blocks, lay):
     return fill(2), fill(3)
 
 
-def assemble_pencil(mesh: Mesh, spaces: Spaces, materials: MaterialField,
-                    degree: int = 4):
+def assemble_pencil(mesh: Mesh, spaces: Spaces, materials: MaterialField):
     """Reduced sparse stiffness A and mass B (Dirichlet dofs removed),
     assembled in one pass; B is identically zero on the pressure block."""
     blocks = []
     if len(spaces.u_map.tris):
-        blocks += _solid_blocks(spaces, materials, degree)
+        blocks += _solid_blocks(spaces, materials)
     if len(spaces.w_map.tris):
-        blocks += _fluid_blocks(mesh, spaces, materials, degree)
+        blocks += _fluid_blocks(mesh, spaces, materials)
     return _cell_order_csr(blocks, spaces.layout)
 
 
@@ -614,9 +613,9 @@ class BlockSystem:
         return paths
 
 
-def build_block_system(mesh: Mesh, family: str, materials: MaterialField,
-                       degree: int = 4) -> BlockSystem:
+def build_block_system(mesh: Mesh, family: str,
+                       materials: MaterialField) -> BlockSystem:
     spaces = build_spaces(mesh, family)
-    A, B = assemble_pencil(mesh, spaces, materials, degree)
+    A, B = assemble_pencil(mesh, spaces, materials)
     C, wdofs = assemble_interface(mesh, spaces)
     return BlockSystem(A, B, C, spaces.layout, spaces, wdofs)

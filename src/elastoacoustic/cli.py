@@ -64,6 +64,9 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "levels", None):
         overrides["levels"] = tuple(int(v) for v in
                                     args.levels.split(","))
+    if "nu" in overrides:
+        # --nu replaces the file's list of Poisson ratios too
+        overrides["nu_list"] = ()
     return cfg.with_overrides(**overrides)
 
 
@@ -116,8 +119,7 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     out = _out_dir(cfg)
     mesh = build_cavity_mesh(cfg.geometry_spec(), args.level)
-    system = build_block_system(mesh, cfg.family, cfg.materials(),
-                                cfg.assembly_degree)
+    system = build_block_system(mesh, cfg.family, cfg.materials())
     pairs, full = solve_window(system, cfg.window, seed=cfg.seed,
                                expect=cfg.n_modes)
     pairs = pairs[:cfg.n_modes]
@@ -132,8 +134,7 @@ def cmd_solve(args) -> int:
             indicators = None
             if args.indicators:
                 _, _, indicators = estimate_mode(
-                    mesh, system.spaces, p, cfg.materials(),
-                    cfg.estimator_degree, cfg.projection_degree)
+                    mesh, system.spaces, p, cfg.materials())
             export_fields(mesh, p, vtk_path, system.spaces, indicators)
             print(f"wrote {vtk_path}")
     print(f"wrote {csv_path}")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 from . import meshing
 from .assembly import MaterialField, FAMILIES
-from .elements import MAX_QUAD_DEGREE
 
 
 class ConfigError(Exception):
@@ -37,9 +36,6 @@ class RunConfig:
     # discretization
     family: str = "taylor-hood"
     levels: tuple = (8, 10, 12, 14)
-    assembly_degree: int = 4
-    estimator_degree: int = 5
-    projection_degree: int = 1
     # materials
     rho_s: float = 7700.0
     e_modulus: float = 1.44e11
@@ -82,12 +78,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if any(level < 1 for level in self.levels):
             raise ConfigError("levels must be at least 1")
-        for name in ("assembly_degree", "estimator_degree"):
-            if not 1 <= getattr(self, name) <= MAX_QUAD_DEGREE:
-                raise ConfigError(f"{name} must lie in [1, "
-                                  f"{MAX_QUAD_DEGREE}]")
-        if self.projection_degree not in (0, 1):
-            raise ConfigError("projection_degree must be 0 or 1")
         for name in ("rho_s", "e_modulus", "rho_f", "c", "g"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -124,8 +114,7 @@ class RunConfig:
 _FLOAT_KEYS = {"fluid_width", "fluid_height", "wall", "wall_height",
                "step", "rho_s", "e_modulus", "nu", "rho_f", "c", "g",
                "theta"}
-_INT_KEYS = {"assembly_degree", "estimator_degree", "projection_degree",
-             "n_modes", "seed", "max_dofs", "max_iterations",
+_INT_KEYS = {"n_modes", "seed", "max_dofs", "max_iterations",
              "initial_level", "mode_index", "workers"}
 _LIST_FLOAT_KEYS = {"nu_list", "window", "reference_omega"}
 _LIST_INT_KEYS = {"levels"}

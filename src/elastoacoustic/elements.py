@@ -28,35 +28,26 @@ class ElementError(Exception):
 class ElementKind:
     name: str
     vector: bool          # value rank: vector (True) or scalar
-    conformity: str       # "C0", "Hdiv" or "L2"
     n_vertex: int         # scalar dofs per vertex
     n_edge: int           # scalar dofs per edge (moments for BDM)
     n_cell: int           # scalar dofs per cell
 
 
-P1 = ElementKind("P1", False, "C0", 1, 0, 0)
-P2 = ElementKind("P2", False, "C0", 1, 1, 0)
-P1B = ElementKind("P1Bubble", True, "C0", 1, 0, 1)
-DG0 = ElementKind("DG0", False, "L2", 0, 0, 1)
-DG1 = ElementKind("DG1", False, "L2", 0, 0, 3)
-BDM1 = ElementKind("BDM1", True, "Hdiv", 0, 2, 0)
-# vector variants of the Lagrange families (components interleaved)
-VP1 = ElementKind("P1v", True, "C0", 1, 0, 0)
-VP2 = ElementKind("P2v", True, "C0", 1, 1, 0)
+P1 = ElementKind("P1", False, 1, 0, 0)
+P2 = ElementKind("P2", False, 1, 1, 0)
+P1B = ElementKind("P1Bubble", True, 1, 0, 1)
+BDM1 = ElementKind("BDM1", True, 0, 2, 0)
+# vector Taylor-Hood displacement (components interleaved)
+VP2 = ElementKind("P2v", True, 1, 1, 0)
 
-KINDS = {k.name: k for k in (P1, P2, P1B, DG0, DG1, BDM1, VP1, VP2)}
-
-_SCALAR_GENERATOR = {VP1: P1, VP2: P2, P1B: P1B, P1: P1, P2: P2,
-                     DG0: DG0, DG1: DG1}
+_SCALAR_GENERATOR = {VP2: P2, P1B: P1B, P1: P1, P2: P2}
 
 
 def scalar_generator(kind: ElementKind) -> ElementKind:
     """Scalar family whose component expansion gives the (vector) kind."""
+    if kind not in _SCALAR_GENERATOR:
+        raise ElementError(f"unsupported element kind {kind.name}")
     return _SCALAR_GENERATOR[kind]
-
-
-def scalar_local_size(kind: ElementKind) -> int:
-    return 3 * kind.n_vertex + 3 * kind.n_edge + kind.n_cell
 
 
 # ----------------------------------------------------------------------
@@ -82,15 +73,11 @@ def _scalar_basis(kind: ElementKind, pts: np.ndarray):
     # gradients of barycentric coordinates w.r.t. (x, y)
     dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
-    if kind in (P1, DG1):
+    if kind is P1:
         val = lam.copy()
         grad = np.broadcast_to(dl, (nq, 3, 2)).copy()
         hess = np.zeros((nq, 3, 2, 2))
         return val, grad, hess
-
-    if kind is DG0:
-        return (np.ones((nq, 1)), np.zeros((nq, 1, 2)),
-                np.zeros((nq, 1, 2, 2)))
 
     if kind is P2:
         val = np.empty((nq, 6))
@@ -110,25 +97,23 @@ def _scalar_basis(kind: ElementKind, pts: np.ndarray):
                                     + np.outer(dl[k], dl[j]))
         return val, grad, hess
 
-    if kind is P1B:
-        val = np.empty((nq, 4))
-        grad = np.empty((nq, 4, 2))
-        hess = np.zeros((nq, 4, 2, 2))
-        val[:, :3] = lam
-        grad[:, :3] = dl
-        # bubble normalized to 1 at the centroid: b = 27 l0 l1 l2
-        val[:, 3] = 27.0 * l0 * l1 * l2
-        grad[:, 3] = 27.0 * ((l1 * l2)[:, None] * dl[0]
-                             + (l0 * l2)[:, None] * dl[1]
-                             + (l0 * l1)[:, None] * dl[2])
-        h = np.zeros((nq, 2, 2))
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            cross = np.outer(dl[a], dl[b]) + np.outer(dl[b], dl[a])
-            h += lam[:, c][:, None, None] * cross
-        hess[:, 3] = 27.0 * h
-        return val, grad, hess
-
-    raise ElementError(f"unsupported element kind {kind.name}")
+    # P1B, the last generator of _SCALAR_GENERATOR
+    val = np.empty((nq, 4))
+    grad = np.empty((nq, 4, 2))
+    hess = np.zeros((nq, 4, 2, 2))
+    val[:, :3] = lam
+    grad[:, :3] = dl
+    # bubble normalized to 1 at the centroid: b = 27 l0 l1 l2
+    val[:, 3] = 27.0 * l0 * l1 * l2
+    grad[:, 3] = 27.0 * ((l1 * l2)[:, None] * dl[0]
+                         + (l0 * l2)[:, None] * dl[1]
+                         + (l0 * l1)[:, None] * dl[2])
+    h = np.zeros((nq, 2, 2))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        cross = np.outer(dl[a], dl[b]) + np.outer(dl[b], dl[a])
+        h += lam[:, c][:, None, None] * cross
+    hess[:, 3] = 27.0 * h
+    return val, grad, hess
 
 
 # ----------------------------------------------------------------------
@@ -186,83 +171,32 @@ def bdm_coefficients(coords: np.ndarray, directions: np.ndarray):
     return np.linalg.inv(M).transpose(0, 2, 1)
 
 
-_REF_COORDS = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+def linear_values(coeff: np.ndarray, pts_xy: np.ndarray) -> np.ndarray:
+    """Values (n, nq, ..., 2) of linear vector fields at centered points.
 
-
-@lru_cache(maxsize=1)
-def _bdm_reference_coeff():
-    directions = np.ones((1, 3))
-    return bdm_coefficients(_REF_COORDS, directions)[0]
+    coeff (n, ..., 6) holds monomial coefficients in the order of
+    ``bdm_coefficients``, so each field is (c0 + X c2 + Y c4,
+    c1 + X c3 + Y c5); pts_xy (n, nq, 2) are the points (X, Y).
+    """
+    c = coeff[:, None]
+    shape = pts_xy.shape[:2] + (1,) * (coeff.ndim - 1)
+    x = pts_xy[..., 0].reshape(shape)
+    y = pts_xy[..., 1].reshape(shape)
+    # C order whatever the strides of the inputs, so that later sums
+    # over the values do not depend on them
+    return np.add(c[..., 0:2] + x * c[..., 2:4], y * c[..., 4:6],
+                  order="C")
 
 
 def bdm_eval(coeff: np.ndarray, pts_xy: np.ndarray):
     """Evaluate BDM bases given their coefficient tensors.
 
     coeff (nt, 6, 6), pts_xy (nt, nq, 2) in centered coordinates.
-    Returns values (nt, nq, 6, 2) and divergences (nt, 6).
+    Returns values (nt, nq, 6, 2) and divergences (nt, 6): the
+    divergence of each basis is its X coefficient of the first
+    component plus its Y coefficient of the second.
     """
-    x = pts_xy[..., 0]
-    y = pts_xy[..., 1]
-    one = np.ones_like(x)
-    zero = np.zeros_like(x)
-    # monomial values (nt, nq, 6, 2)
-    mono = np.stack([
-        np.stack([one, zero], axis=-1),
-        np.stack([zero, one], axis=-1),
-        np.stack([x, zero], axis=-1),
-        np.stack([zero, x], axis=-1),
-        np.stack([y, zero], axis=-1),
-        np.stack([zero, y], axis=-1),
-    ], axis=-2)
-    vals = np.einsum("tjm,tqmc->tqjc", coeff, mono)
-    # div of monomials: (1,0)->0, (0,1)->0, (x,0)->1, (0,x)->0, (y,0)->0,
-    # (0,y)->1
-    div_mono = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-    divs = coeff @ div_mono
-    return vals, divs
-
-
-def bdm_gradients(coeff: np.ndarray):
-    """Constant gradients d(value_c)/d(x_d) of each basis, (nt, 6, 2, 2)."""
-    g = np.zeros(coeff.shape[:2] + (2, 2))
-    g[:, :, 0, 0] = coeff[:, :, 2]
-    g[:, :, 1, 0] = coeff[:, :, 3]
-    g[:, :, 0, 1] = coeff[:, :, 4]
-    g[:, :, 1, 1] = coeff[:, :, 5]
-    return g
-
-
-def reference_basis(kind: ElementKind, point):
-    """Basis values, gradients and (for BDM1) divergences at a barycentric
-    point of the reference triangle.
-
-    For C0 scalars: (values (n,), gradients (n, 2)).
-    For vector kinds: (values (n, 2), gradients (n, 2, 2)).
-    For BDM1 additionally the divergences (n,) as a third entry; these
-    reference values map to physical triangles under the contravariant
-    Piola transform v(x) = B v_ref(x_ref) / det B, which preserves normal
-    moments up to the per-edge orientation sign.
-    """
-    pt = np.asarray(point, float).reshape(1, 3)
-    if np.any(pt < -1e-12) or abs(pt.sum() - 1.0) > 1e-12:
-        raise ElementError("point must be barycentric in the closed triangle")
-    if kind is BDM1:
-        coeff = _bdm_reference_coeff()[None]
-        xy = (pt @ _REF_COORDS[0] - _REF_COORDS[0].mean(axis=0)).reshape(
-            1, 1, 2)
-        vals, divs = bdm_eval(coeff, xy)
-        grads = bdm_gradients(coeff)
-        return vals[0, 0], grads[0], divs[0]
-    val, grad, _ = _scalar_basis(scalar_generator(kind), pt)
-    if not kind.vector:
-        return val[0], grad[0]
-    ns = val.shape[1]
-    vec_val = np.zeros((2 * ns, 2))
-    vec_grad = np.zeros((2 * ns, 2, 2))
-    for c in range(2):
-        vec_val[c::2, c] = val[0]
-        vec_grad[c::2, c, :] = grad[0]
-    return vec_val, vec_grad
+    return linear_values(coeff, pts_xy), coeff[:, :, 2] + coeff[:, :, 5]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ contributions:
   coupling   (2 mu_h eps(u) - p I) n - c^2 rho_f (div w) n on the
           interface,
 
-with mu_h an elementwise polynomial projection of mu and the data
+with mu_h the elementwise linear L2 projection of mu and the data
 oscillation Theta measuring (mu - mu_h) eps(u).  On the free surface the
 flux residual includes the g rho_f (w.n) sloshing term, mirroring the
 boundary condition there.
@@ -36,7 +36,8 @@ each edge takes the reference table of its placement, contracted with
 its triangle's coefficients before the same map.  The BDM fluid field
 is linear on each triangle, so its cell dofs are contracted with the
 basis coefficients of ``Spaces.bdm`` into six monomial coefficients
-first and evaluated at points after.
+first and evaluated at points after, by ``elements.linear_values`` as
+the basis itself is.
 
 ``estimate_mode`` computes one mode's estimate in one pass, which builds
 each of its tables once: E(x) and nu(x) at the solid quadrature points,
@@ -47,7 +48,6 @@ solid geometry comes from ``Spaces.solid_geometry``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +60,6 @@ from .meshing import (Mesh, SOLID, FLUID, INTERIOR, GAMMA_N, GAMMA_0,
 
 DEFAULT_DEGREE = 5
 EDGE_POINTS = 3          # Gauss points per edge
-DEFAULT_PROJECTION = 1
 
 
 class EstimatorError(Exception):
@@ -145,23 +144,6 @@ class IndicatorSet:
             np.add.at(eta, t1, self.eta2_E_I)
         return eta
 
-    def to_csv(self, mesh: Mesh) -> str:
-        nt = mesh.num_triangles
-        sub = np.full(nt, "?", dtype=object)
-        volume = np.zeros(nt)
-        if self.solid_tris is not None:
-            sub[self.solid_tris] = "solid"
-        if self.fluid_tris is not None:
-            sub[self.fluid_tris] = "fluid"
-        if self.eta2_K_S is not None:
-            volume[self.solid_tris] = self.eta2_K_S
-        if self.eta2_K_F is not None:
-            volume[self.fluid_tris] = self.eta2_K_F
-        totals = self.element_totals(mesh)
-        rows = zip(range(nt), sub.tolist(), volume.tolist(), totals.tolist())
-        return "element,subdomain,eta2_volume,eta2_total\n" \
-            + "%d,%s,%.12e,%.12e\n" * nt % tuple(itertools.chain(*rows))
-
 
 # ----------------------------------------------------------------------
 # elementwise projection of mu
@@ -169,32 +151,21 @@ class IndicatorSet:
 
 @dataclass(frozen=True)
 class MuProjection:
-    """Elementwise L2 polynomial projection of mu on the solid triangles.
+    """Elementwise L2 projection of mu onto linear functions on the solid
+    triangles: three barycentric coefficients per element, and its
+    elementwise constant gradient."""
 
-    degree 0 stores one coefficient per element, degree 1 three
-    barycentric coefficients; gradients are elementwise constant.
-    """
-
-    degree: int
-    coeff: np.ndarray        # (nt, 1) or (nt, 3)
+    coeff: np.ndarray        # (nt, 3)
     grad: np.ndarray         # (nt, 2)
 
     def at(self, bary) -> np.ndarray:
         """(nt, nq) values at shared barycentric points."""
-        bary = np.asarray(bary, float)
-        if self.degree == 0:
-            return np.repeat(self.coeff, len(bary), axis=1)
         return np.einsum("tk,qk->tq", self.coeff, bary)
 
 
-def project_mu(geo, q, dv, muq, degree: int) -> MuProjection:
+def project_mu(geo, q, dv, muq) -> MuProjection:
     """Projection of mu, given as ``muq`` with volume weights ``dv`` at
     the points of the rule ``q`` on the triangles ``geo``."""
-    if degree not in (0, 1):
-        raise EstimatorError("mu projection degree must be 0 or 1")
-    if degree == 0:
-        coeff = ((muq * dv).sum(axis=1) / geo.area)[:, None]
-        return MuProjection(0, coeff, np.zeros((len(coeff), 2)))
     # barycentric mass matrix is area/12 * (I + ones)
     rhs = np.einsum("tq,qk->tk", muq * dv, q.points)
     M = (np.eye(3) + np.ones((3, 3))) / 12.0
@@ -203,7 +174,7 @@ def project_mu(geo, q, dv, muq, degree: int) -> MuProjection:
     dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     grad_ref = coeff @ dl                      # (nt, 2) in ref coords
     grad = np.einsum("td,tdc->tc", grad_ref, geo.inv_jac)
-    return MuProjection(1, coeff, grad)
+    return MuProjection(coeff, grad)
 
 
 # ----------------------------------------------------------------------
@@ -257,14 +228,14 @@ def _strain(u_grad):
 # solid terms
 # ----------------------------------------------------------------------
 
-def _solid_tables(spaces, materials, q, projection_degree):
+def _solid_tables(spaces, materials, q):
     """Volume weights, mu and lambda^-1 at the quadrature points of every
     solid triangle (one evaluation of E and nu) and the projection of
     mu."""
     geo = spaces.solid_geometry
     dv = q.weights[None, :] * geo.det[:, None]
     mu_q, il_q = materials.lame(el.physical_points(geo, q.points))
-    return dv, mu_q, il_q, project_mu(geo, q, dv, mu_q, projection_degree)
+    return dv, mu_q, il_q, project_mu(geo, q, dv, mu_q)
 
 
 def _solid_residuals(mesh, spaces, mode, rho_s, q, dv, mu_q, il_q, proj):
@@ -326,17 +297,10 @@ def _solid_traction(mesh, spaces, mode, proj, upos, edges, tri, nrm, tq):
     bary = places[place]                       # (ne, nq, 3)
     # P1 basis values are the barycentric coordinates
     p = (bary @ mode.p[spaces.p_map.cell2dof[k]][:, :, None])[..., 0]
-    mu_h = _mu_at(proj, k, bary)
+    mu_h = np.einsum("ek,eqk->eq", proj.coeff[k], bary)
     eps_n = (_strain(u_grad) @ nrm[:, None, :, None])[..., 0]
     traction = 2.0 * mu_h[..., None] * eps_n - p[..., None] * nrm[:, None]
     return traction, mu_h
-
-
-def _mu_at(proj: MuProjection, positions, bary):
-    if proj.degree == 0:
-        return np.broadcast_to(proj.coeff[positions],
-                               bary.shape[:2]).copy()
-    return np.einsum("ek,eqk->eq", proj.coeff[positions], bary)
 
 
 def _solid_jumps(mesh, spaces, mode, proj, upos):
@@ -391,13 +355,6 @@ def _fluid_eval(spaces, mode):
     return mono, div, mono[:, 3] - mono[:, 4]
 
 
-def _fluid_at(mono, cpts):
-    """w (n, nq, 2) from monomial coefficients (n, 6) at centered points
-    (n, nq, 2)."""
-    return mono[:, None, 0:2] + cpts[..., 0:1] * mono[:, None, 2:4] \
-        + cpts[..., 1:2] * mono[:, None, 4:6]
-
-
 def _fluid_residuals(mesh, spaces, kappa, rho_f, rf, q, mono, rot_w):
     """Element residuals of the fluid triangles.
 
@@ -407,7 +364,7 @@ def _fluid_residuals(mesh, spaces, kappa, rho_f, rf, q, mono, rot_w):
     """
     _, geo = spaces.bdm
     cpts = el.physical_points(geo, q.points) - geo.centroid[:, None, :]
-    w_val = _fluid_at(mono, cpts)
+    w_val = el.linear_values(mono, cpts)
     dv = q.weights[None, :] * geo.det[:, None]
     # R1 = c^2 rho_f grad(div w) + kappa rho_f w; the first term is zero
     # elementwise for BDM1
@@ -437,14 +394,15 @@ def _fluid_jumps(mesh, spaces, kappa, materials, re, mono, div_w, wpos):
     pts = a[:, None, :] + tqe[None, :, None] * tang[:, None, :]
 
     k0 = wpos[t0[edges]]
-    w0 = _fluid_at(mono[k0], pts - geo.centroid[k0][:, None, :])
+    w0 = el.linear_values(mono[k0], pts - geo.centroid[k0][:, None, :])
     div0 = div_w[k0]
     is_int = interior[edges]
     eta = np.zeros(len(edges))
 
     if is_int.any():
         k1 = wpos[t1[edges[is_int]]]
-        w1 = _fluid_at(mono[k1], pts[is_int] - geo.centroid[k1][:, None, :])
+        w1 = el.linear_values(mono[k1],
+                              pts[is_int] - geo.centroid[k1][:, None, :])
         jump_div = 0.5 * c2rf * (div0[is_int] - div_w[k1])   # along n0
         dw = 0.5 * (w0[is_int] - w1)
         n0 = nrm[is_int]
@@ -497,8 +455,7 @@ def _interface_balance(mesh, spaces, mode, materials, re, proj, upos,
 
 def estimate_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair,
                   materials: MaterialField,
-                  quad_degree: int = DEFAULT_DEGREE,
-                  projection_degree: int = DEFAULT_PROJECTION):
+                  quad_degree: int = DEFAULT_DEGREE):
     """The estimator of one mode in one pass: (eta2, theta2, IndicatorSet).
 
     The interface terms need both subdomains; the arrays of a missing
@@ -512,8 +469,7 @@ def estimate_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair,
         if len(mode.u) != spaces.u_map.ndof:
             raise EstimatorError("mode does not carry solid fields for "
                                  "these spaces")
-        dv, mu_q, il_q, proj = _solid_tables(spaces, materials, q,
-                                             projection_degree)
+        dv, mu_q, il_q, proj = _solid_tables(spaces, materials, q)
         upos = el.tri_positions(spaces.u_map.tris)
         eta_K, theta_K = _solid_residuals(mesh, spaces, mode,
                                           materials.rho_s, q, dv, mu_q,

@@ -142,11 +142,6 @@ class Mesh:
         l2 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
         return np.maximum(l0, np.maximum(l1, l2))
 
-    def edge_lengths(self, ids=None) -> np.ndarray:
-        e = self.edges if ids is None else self.edges[ids]
-        return np.linalg.norm(self.vertices[e[:, 1]] - self.vertices[e[:, 0]],
-                              axis=1)
-
     def edge_frames(self, ids=None):
         """Start point a, tangent t = b - a, unit normal (t_y, -t_x) / |t|
         and length |t| of each edge a -> b."""
@@ -162,9 +157,6 @@ class Mesh:
 
     def edges_with_tag(self, tag) -> np.ndarray:
         return np.flatnonzero(self.edge_tag == tag).astype(np.int32)
-
-    def h_max(self) -> float:
-        return float(self.tri_diameters().max())
 
 
 def _build_edge_topology(triangles, nv):
@@ -694,59 +686,3 @@ def read_mesh(path) -> Mesh:
     return Mesh(np.asarray(verts), np.asarray(tris), np.asarray(tags),
                 refs, edge_tags)
 
-
-def read_gmsh(path, tri_groups, edge_groups) -> Mesh:
-    """Import a Gmsh MSH 2.2 ASCII file (read-only convenience).
-
-    tri_groups maps physical ids to 'solid'/'fluid'; edge_groups maps
-    physical ids to edge tag names.  Refinement edges are initialized to
-    the longest edge of each triangle.
-    """
-    nodes = {}
-    tris, tags = [], []
-    edge_tags = {}
-    with open(path) as f:
-        lines = iter(f)
-        for line in lines:
-            token = line.strip()
-            if token == "$MeshFormat":
-                version = next(lines).split()[0]
-                if not version.startswith("2."):
-                    raise MeshError(f"unsupported MSH version {version}")
-            elif token == "$Nodes":
-                n = int(next(lines))
-                for _ in range(n):
-                    parts = next(lines).split()
-                    nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
-            elif token == "$Elements":
-                n = int(next(lines))
-                for _ in range(n):
-                    parts = next(lines).split()
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    phys = int(parts[3]) if ntags else 0
-                    conn = [int(v) for v in parts[3 + ntags:]]
-                    if etype == 2:
-                        name = tri_groups.get(phys)
-                        if name is None:
-                            raise MeshError(
-                                f"unmapped triangle physical group {phys}")
-                        tris.append(conn)
-                        tags.append(SUBDOMAIN_CODES[name])
-                    elif etype == 1:
-                        name = edge_groups.get(phys)
-                        if name is not None:
-                            a, b = sorted(conn)
-                            edge_tags[(a, b)] = EDGE_TAG_CODES[name]
-    ids = sorted(nodes)
-    remap = {nid: i for i, nid in enumerate(ids)}
-    verts = np.asarray([nodes[nid] for nid in ids])
-    tris = np.asarray([[remap[v] for v in t] for t in tris], dtype=np.int32)
-    edge_tags = {(remap[a], remap[b]): t for (a, b), t in edge_tags.items()}
-    # enforce positive orientation
-    p = verts[tris]
-    det = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-           - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    flip = det < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    return Mesh(verts, tris, np.asarray(tags), None, edge_tags)

@@ -258,8 +258,7 @@ class ConvergenceTable:
 def _solve_level(config: RunConfig, N: int, nu=None):
     mats = config.materials(nu)
     mesh = build_cavity_mesh(config.geometry_spec(), N)
-    system = build_block_system(mesh, config.family, mats,
-                                config.assembly_degree)
+    system = build_block_system(mesh, config.family, mats)
     pairs, _ = solve_window(system, config.window, seed=config.seed,
                             expect=config.n_modes)
     if len(pairs) < config.n_modes:

@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from elastoacoustic import cli
+from elastoacoustic.adaptivity import AdaptiveHistory
 from elastoacoustic.cli import main
 from elastoacoustic.config import (ConfigError, RunConfig, load_config,
                                    parse_config)
+from elastoacoustic.study import ConvergenceTable
 
 CONFIG_TEXT = """
 # vessel study setup
@@ -57,11 +60,18 @@ class TestConfig:
 
     def test_shift_key_rejected(self, tmp_path):
         # the windowed solve places its own shifts at the window's lower
-        # end, so a configured shift is no longer a setting
+        # end, so a configured shift is no longer a setting; nor are the
+        # quadrature and projection degrees, which the discretization
+        # fixes
         path = tmp_path / "run.cfg"
-        path.write_text("[eigensolver]\nshift = 1e5\n")
-        with pytest.raises(ConfigError, match="unknown key 'shift'"):
-            load_config(path)
+        for line in ("[eigensolver]\nshift = 1e5",
+                     "[discretization]\nassembly_degree = 4",
+                     "[discretization]\nestimator_degree = 5",
+                     "[discretization]\nprojection_degree = 1"):
+            path.write_text(line + "\n")
+            key = line.split("\n")[1].split(" = ")[0]
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(path)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,10 +92,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("n_modes", 0), ("initial_level", 0), ("mode_index", 0),
-        ("max_dofs", 0), ("max_iterations", 0), ("levels", (2, 0)),
-        ("assembly_degree", 0), ("assembly_degree", 9),
-        ("estimator_degree", 0), ("estimator_degree", 9),
-        ("projection_degree", -1), ("projection_degree", 2)])
+        ("max_dofs", 0), ("max_iterations", 0), ("levels", (2, 0))])
     def test_out_of_range_count_or_degree_rejected(self, key, value):
         # each of these failed late (or wrote an empty result) when a
         # command ran with it
@@ -215,6 +222,39 @@ class TestCli:
         hist = next(tmp_path.glob("adapt_*.csv")).read_text()
         assert hist.startswith("iteration,dofs,cells")
         assert len(hist.splitlines()) >= 3
+
+    @pytest.mark.parametrize("command", ["study", "adapt"])
+    def test_nu_flag_replaces_config_nu_list(self, command, tmp_path,
+                                             monkeypatch, capsys):
+        # flags override file keys, so --nu is the only Poisson ratio run
+        seen = []
+
+        def study(config, nu=None):
+            seen.append(nu)
+            return ConvergenceTable((1,), (10,), ((1.0,),), (), ())
+
+        def adapt(config, nu=None):
+            seen.append(nu)
+            history = AdaptiveHistory(config.geometry, config.family, nu,
+                                      config.mode_index)
+            history.append(iteration=0, dofs=10, cells=4, omega=1.0,
+                           eta2=1.0, theta2=0.0, err=None, eff=None,
+                           wall_time=0.0)
+            return history
+
+        monkeypatch.setattr(cli, "run_uniform_study", study)
+        monkeypatch.setattr(cli, "adaptive_solve", adapt)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu_list = 0.35, 0.49\n")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0 and seen == [0.35, 0.49]
+        seen.clear()
+        rc = main([command, "--config", str(cfg), "--nu", "0.4", "--out",
+                   str(tmp_path)])
+        assert rc == 0 and seen == [0.4]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["nu"] == 0.4
+        assert manifest["parameters"]["nu_list"] == []
 
     def test_fit_subcommand(self, tmp_path, capsys):
         csv = tmp_path / "study.csv"

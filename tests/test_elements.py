@@ -6,10 +6,18 @@ from numpy.testing import assert_allclose
 
 from elastoacoustic import elements as el
 from elastoacoustic import meshing as msh
-from elastoacoustic.elements import (P1, P2, P1B, DG0, DG1, BDM1, VP1,
-                                     VP2, ElementError)
+from elastoacoustic.elements import (P1, P2, P1B, BDM1, VP2,
+                                     ElementError)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def reference_bdm(x):
+    """BDM1 basis values (6, 2) at a point x of the reference triangle,
+    with every edge in its local direction."""
+    coeff = el.bdm_coefficients(REF[None], np.ones((1, 3)))
+    vals, _ = el.bdm_eval(coeff, (x - REF.mean(axis=0)).reshape(1, 1, 2))
+    return vals[0, 0]
 
 
 def exact_monomial(a, b):
@@ -57,21 +65,20 @@ class TestQuadrature:
 
 class TestReferenceBasis:
     def test_p1_kronecker(self):
-        for i, bary in enumerate(np.eye(3)):
-            val, _ = el.reference_basis(P1, bary)
-            assert_allclose(val, np.eye(3)[i], atol=1e-15)
+        val, _, _ = el.scalar_basis_at(P1, np.eye(3))
+        assert_allclose(val, np.eye(3), atol=1e-15)
 
     def test_bubble_normalization(self):
-        val, _ = el.reference_basis(P1B, (1 / 3, 1 / 3, 1 / 3))
-        # interior vector dof pair carries the bubble, value 1 at centroid
-        assert_allclose(val[6], [1.0, 0.0], atol=1e-14)
-        assert_allclose(val[7], [0.0, 1.0], atol=1e-14)
+        # the generator's cell function carries the bubble, value 1 at the
+        # centroid; the vector MINI dofs 6 and 7 are its two components
+        val, _, _ = el.scalar_basis_at(P1B, [(1 / 3, 1 / 3, 1 / 3)])
+        assert_allclose(val[0], [1 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-14)
 
     def test_p2_vertex_and_midpoints(self):
-        val, _ = el.reference_basis(P2, (1, 0, 0))
-        assert_allclose(val, [1, 0, 0, 0, 0, 0], atol=1e-15)
-        val, _ = el.reference_basis(P2, (0.5, 0.5, 0))  # midpoint of e2
-        assert_allclose(val, [0, 0, 0, 0, 0, 1], atol=1e-15)
+        # the vertex (1, 0, 0) and the midpoint of e2
+        val, _, _ = el.scalar_basis_at(P2, [(1, 0, 0), (0.5, 0.5, 0)])
+        assert_allclose(val, [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]],
+                        atol=1e-15)
 
     def test_partition_of_unity(self):
         q = el.quadrature(4)
@@ -93,22 +100,18 @@ class TestReferenceBasis:
             nrm = np.array([tang[1], -tang[0]])
             nrm /= np.linalg.norm(nrm)
             for t, w in zip(tq, wq):
-                x = a + t * tang
-                bary = np.array([1 - x[0] - x[1], x[0], x[1]])
-                val, _, _ = el.reference_basis(BDM1, bary)
+                val = reference_bdm(a + t * tang)
                 for m in range(2):
                     zeta = np.sqrt(3) * (2 * t - 1) if m else 1.0
                     M[2 * i + m] += w * zeta * (val @ nrm)
         assert_allclose(M, np.eye(6), atol=1e-12)
 
-    def test_bad_point_rejected(self):
-        with pytest.raises(ElementError):
-            el.reference_basis(P1, (0.7, 0.7, -0.4))
-
     def test_unsupported_kind(self):
-        fake = el.ElementKind("P9", False, "C0", 1, 1, 1)
-        with pytest.raises((ElementError, KeyError)):
-            el.reference_basis(fake, (1 / 3, 1 / 3, 1 / 3))
+        fake = el.ElementKind("P9", False, 1, 1, 1)
+        with pytest.raises(ElementError, match="P9"):
+            el.scalar_basis_at(fake, [(1 / 3, 1 / 3, 1 / 3)])
+        with pytest.raises(ElementError, match="BDM1"):
+            el.scalar_basis_at(BDM1, [(1 / 3, 1 / 3, 1 / 3)])
 
 
 class TestDofMaps:
@@ -245,11 +248,9 @@ class TestPiolaContract:
             nrm /= np.linalg.norm(nrm)
             for t, w in zip(tq, wq):
                 x = a + t * tang
-                # the same barycentric point on the reference element
+                # the same point on the reference element
                 ar, br = REF[(i + 1) % 3], REF[(i + 2) % 3]
-                xr = ar + t * (br - ar)
-                bary = np.array([1 - xr[0] - xr[1], xr[0], xr[1]])
-                ref_vals, _, _ = el.reference_basis(BDM1, bary)
+                ref_vals = reference_bdm(ar + t * (br - ar))
                 mapped = (ref_vals @ B.T) / detB
                 for m in range(2):
                     zeta = np.sqrt(3) * (2 * t - 1) if m else 1.0

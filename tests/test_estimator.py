@@ -32,8 +32,7 @@ def th_mode(omega1_n2, materials):
 def solid_terms(mesh, spaces, mode, mats):
     """The solid residuals and jumps without the pass's kappa check."""
     q = el.quadrature(est.DEFAULT_DEGREE)
-    dv, mu_q, il_q, proj = est._solid_tables(spaces, mats, q,
-                                             est.DEFAULT_PROJECTION)
+    dv, mu_q, il_q, proj = est._solid_tables(spaces, mats, q)
     eta_K, _ = est._solid_residuals(mesh, spaces, mode, mats.rho_s, q, dv,
                                     mu_q, il_q, proj)
     edges, eta_J = est._solid_jumps(mesh, spaces, mode, proj,
@@ -99,7 +98,7 @@ class TestSolidResiduals:
         mats = MaterialField(E=1.0, nu=0.0000001 + 0.25)
         spaces = build_spaces(omega1_n2, "mini")
         q = el.quadrature(est.DEFAULT_DEGREE)
-        _, _, _, proj = est._solid_tables(spaces, mats, q, 1)
+        _, _, _, proj = est._solid_tables(spaces, mats, q)
         mu = mats.lame(np.zeros((1, 2)))[0][0]
         assert_allclose(proj.coeff, mu, rtol=1e-12)
         assert_allclose(proj.grad, 0.0, atol=1e-12)
@@ -112,8 +111,7 @@ class TestOscillation:
         # E linear in x with constant nu gives a globally linear mu
         mats = MaterialField(E=lambda x: 1.44e11 * (1.0 + 0.3 * x[:, 0]),
                              nu=0.35)
-        _, _, part = est.estimate_mode(mesh, spaces, mode, mats,
-                                       projection_degree=1)
+        _, _, part = est.estimate_mode(mesh, spaces, mode, mats)
         scale = part.eta2_K_S.sum()
         assert part.theta2_K_S.sum() <= 1e-24 * scale
 
@@ -121,8 +119,7 @@ class TestOscillation:
         mesh, spaces, mode = th_mode
         mats = MaterialField(
             E=lambda x: 1.44e11 * (1.0 + 0.3 * x[:, 0] ** 2), nu=0.35)
-        _, _, part = est.estimate_mode(mesh, spaces, mode, mats,
-                                       projection_degree=1)
+        _, _, part = est.estimate_mode(mesh, spaces, mode, mats)
         assert part.theta2_K_S.sum() > 0
 
 
@@ -174,7 +171,7 @@ class TestFluidResiduals:
         epos = {int(e): i for i, e in enumerate(part.fluid_edges)}
         rf, re = est.Weights.fluid(mats, 1.0)
         for e in top:
-            h = fluid_square_n3.edge_lengths(np.array([e]))[0]
+            h = fluid_square_n3.edge_frames(np.array([e]))[3][0]
             got = part.eta2_J_F[epos[int(e)]]
             # flux residual (c^2 rho_f div + g rho_f w.n) = 1.5; Gamma_0
             # edges carry no tangential term
@@ -312,7 +309,7 @@ class TestInterface:
         mu = materials.lame(np.zeros((1, 2)))[0][0]
         rf, re = est.Weights.fluid(materials, kappa)
         rho_i = min(re, 1.0 / np.sqrt(2.0 * mu) / np.sqrt(2.0))
-        h = omega1_n2.edge_lengths(part.interface_edges)
+        h = omega1_n2.edge_frames(part.interface_edges)[3]
         assert_allclose(part.eta2_E_I, h ** 2 * rho_i ** 2, rtol=1e-12)
 
     def test_interface_sum_decreases_under_refinement(self, materials):
@@ -412,21 +409,3 @@ class TestAggregation:
         e8 = est.estimate_mode(omega1_n2, sys_.spaces, mode, mats,
                                quad_degree=8)[0]
         assert abs(e5 - e8) <= 1e-6 * e8
-
-    def test_csv_export(self, th_mode, materials):
-        mesh, spaces, mode = th_mode
-        _, _, ind = est.estimate_mode(mesh, spaces, mode, materials)
-        text = ind.to_csv(mesh)
-        lines = text.splitlines()
-        assert lines[0] == "element,subdomain,eta2_volume,eta2_total"
-        assert len(lines) == mesh.num_triangles + 1
-        # the same text as a row-by-row writer
-        sub = {int(t): "solid" for t in ind.solid_tris}
-        sub.update({int(t): "fluid" for t in ind.fluid_tris})
-        volume = np.zeros(mesh.num_triangles)
-        volume[ind.solid_tris] = ind.eta2_K_S
-        volume[ind.fluid_tris] = ind.eta2_K_F
-        totals = ind.element_totals(mesh)
-        rows = [f"{t},{sub.get(t, '?')},{volume[t]:.12e},{totals[t]:.12e}"
-                for t in range(mesh.num_triangles)]
-        assert lines[1:] == rows and text.endswith("\n")

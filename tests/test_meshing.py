@@ -48,17 +48,19 @@ class TestBuild:
         spec = msh.omega1(wall=0.25)
         m2 = msh.build_cavity_mesh(spec, 2)
         m4 = msh.build_cavity_mesh(spec, 4)
-        assert np.isclose(m2.h_max(), 2 * m4.h_max())
+        assert np.isclose(m2.tri_diameters().max(),
+                          2 * m4.tri_diameters().max())
         # shortest geometry edge (the wall) split into N mesh edges
         h_leg = spec.shortest_edge() / 4
-        legs = m4.edge_lengths()
+        legs = m4.edge_frames()[3]
         assert np.isclose(legs.min(), h_leg)
         # incommensurate default still tracks the level approximately
         spec = msh.omega1()
         m2 = msh.build_cavity_mesh(spec, 2)
         m4 = msh.build_cavity_mesh(spec, 4)
-        assert m2.h_max() == pytest.approx(2 * m4.h_max(), rel=0.1)
-        assert m4.edge_lengths().min() == pytest.approx(
+        assert m2.tri_diameters().max() == pytest.approx(
+            2 * m4.tri_diameters().max(), rel=0.1)
+        assert m4.edge_frames()[3].min() == pytest.approx(
             spec.shortest_edge() / 4, rel=0.05)
 
     def test_subdomain_areas(self, omega2_n4):
@@ -139,13 +141,13 @@ class TestBisect:
         # interface edge: the first splits the diagonals, the second the
         # interface legs themselves
         m = omega1_n2
-        lengths0 = np.sort(m.edge_lengths(m.edges_with_tag(INTERFACE)))
+        lengths0 = np.sort(m.edge_frames(m.edges_with_tag(INTERFACE))[3])
         for _ in range(2):
             adj = m.edge_tris[m.edges_with_tag(INTERFACE)]
             marked = np.unique(adj[adj >= 0])
             m = msh.bisect(m, marked)
             assert msh.validate(m).ok
-        lengths1 = np.sort(m.edge_lengths(m.edges_with_tag(INTERFACE)))
+        lengths1 = np.sort(m.edge_frames(m.edges_with_tag(INTERFACE))[3])
         assert len(lengths1) == 2 * len(lengths0)
         assert np.allclose(np.repeat(lengths0, 2) / 2, lengths1)
 
@@ -282,34 +284,3 @@ class TestIO:
         assert np.array_equal(back.edge_tag, omega1_n2.edge_tag)
         assert np.array_equal(back.tri_refedge, omega1_n2.tri_refedge)
         assert back.parent is None
-
-    def test_gmsh_import(self, tmp_path):
-        text = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-6
-1 2 2 10 1 1 2 3
-2 2 2 20 1 1 3 4
-3 1 2 1 1 1 2
-4 1 2 2 2 2 3
-5 1 2 3 3 3 4
-6 1 2 3 3 4 1
-$EndElements
-"""
-        path = tmp_path / "square.msh"
-        path.write_text(text)
-        mesh = msh.read_gmsh(path, {10: "solid", 20: "fluid"},
-                             {1: "gamma_d", 2: "gamma_n", 3: "gamma_0"})
-        assert mesh.num_triangles == 2
-        assert set(mesh.tri_tag.tolist()) == {SOLID, FLUID}
-        assert len(mesh.edges_with_tag(GAMMA_D)) == 1
-        assert len(mesh.edges_with_tag(GAMMA_0)) == 2
-        assert (mesh.areas() > 0).all()
