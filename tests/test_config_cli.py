@@ -92,12 +92,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("n_modes", 0), ("initial_level", 0), ("mode_index", 0),
-        ("max_dofs", 0), ("max_iterations", 0), ("levels", (2, 0))])
-    def test_out_of_range_count_or_degree_rejected(self, key, value):
+        ("max_dofs", 0), ("max_iterations", 0), ("levels", (2, 0)),
+        ("assembly_degree", 0), ("assembly_degree", 9),
+        ("estimator_degree", 0), ("estimator_degree", 9),
+        ("projection_degree", -1), ("projection_degree", 2)])
+    def test_out_of_range_count_or_degree_rejected(self, key, value,
+                                                   tmp_path):
         # each of these failed late (or wrote an empty result) when a
-        # command ran with it
+        # command ran with it; the degrees are fixed by the
+        # discretization, so a file that sets one is rejected by name
+        if key in RunConfig.__dataclass_fields__:
+            with pytest.raises(ConfigError, match=key):
+                RunConfig(**{key: value})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = "
+                        + ", ".join(map(str, np.atleast_1d(value))) + "\n")
         with pytest.raises(ConfigError, match=key):
-            RunConfig(**{key: value})
+            load_config(path)
 
     def test_overrides(self):
         cfg = RunConfig().with_overrides(nu=0.5, family="mini",
