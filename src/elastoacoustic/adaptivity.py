@@ -209,22 +209,20 @@ def track_mode(prev_mesh, prev_spaces, prev_mode, mesh, spaces, system,
 # the adaptive loop
 # ----------------------------------------------------------------------
 
-def adaptive_solve(config: RunConfig, nu=None) -> AdaptiveHistory:
+def adaptive_solve(config: RunConfig) -> AdaptiveHistory:
     """Iterate solve -> filter -> estimate -> mark -> bisect to a budget.
 
     The tracked mode, marking fraction and budgets come from ``config``;
-    ``nu`` overrides its Poisson ratio.  err is reported against
-    config.reference_omega when supplied (the mesh-independent
-    extrapolated frequency), otherwise left empty.
+    err is reported against config.reference_omega when supplied (the
+    mesh-independent extrapolated frequency), otherwise left empty.
     """
     mode_index = config.mode_index
-    nu_val = config.nu if nu is None else nu
-    mats = config.materials(nu_val)
+    mats = config.materials()
     ref = None
     if len(config.reference_omega) >= mode_index:
         ref = config.reference_omega[mode_index - 1]
 
-    history = AdaptiveHistory(config.geometry, config.family, nu_val,
+    history = AdaptiveHistory(config.geometry, config.family, config.nu,
                               mode_index)
     mesh = build_cavity_mesh(config.geometry_spec(), config.initial_level)
     prev = None

@@ -162,7 +162,7 @@ def cmd_study(args) -> int:
     out = _out_dir(cfg)
     nus = cfg.nu_list if cfg.nu_list else (cfg.nu,)
     for nu in nus:
-        table = run_uniform_study(cfg, nu=nu)
+        table = run_uniform_study(cfg.with_overrides(nu=nu))
         tag = f"nu{nu:g}".replace(".", "p")
         path = os.path.join(out, f"study_{cfg.geometry}_{cfg.family}_"
                             f"{tag}.csv")
@@ -186,7 +186,7 @@ def cmd_adapt(args) -> int:
     out = _out_dir(cfg)
     nus = cfg.nu_list if cfg.nu_list else (cfg.nu,)
     for nu in nus:
-        history = adaptive_solve(cfg, nu=nu)
+        history = adaptive_solve(cfg.with_overrides(nu=nu))
         tag = f"nu{nu:g}".replace(".", "p")
         path = os.path.join(
             out, f"adapt_{cfg.geometry}_mode{cfg.mode_index}_{tag}.csv")

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import inspect
 import os
+import typing
 from dataclasses import dataclass, replace
 
 from . import meshing
 from .assembly import MaterialField, FAMILIES
+from .eigensolve import DEFAULT_SEED
 
 
 class ConfigError(Exception):
@@ -35,7 +37,7 @@ class RunConfig:
     clamp: str = None
     # discretization
     family: str = "taylor-hood"
-    levels: tuple = (8, 10, 12, 14)
+    levels: tuple[int, ...] = (8, 10, 12, 14)
     # materials
     rho_s: float = 7700.0
     e_modulus: float = 1.44e11
@@ -43,18 +45,18 @@ class RunConfig:
     rho_f: float = 1000.0
     c: float = 1430.0
     g: float = 9.8
-    nu_list: tuple = ()
+    nu_list: tuple[float, ...] = ()
     # eigensolver
     n_modes: int = 4
-    window: tuple = (400.0, 2800.0)
-    seed: int = 20260808
+    window: tuple[float, ...] = (400.0, 2800.0)
+    seed: int = DEFAULT_SEED
     # adaptivity
     theta: float = 0.5
     max_dofs: int = 100000
     max_iterations: int = 40
     initial_level: int = 2
     mode_index: int = 1
-    reference_omega: tuple = ()
+    reference_omega: tuple[float, ...] = ()
     # output
     out_dir: str = "."
     workers: int = 1
@@ -94,9 +96,8 @@ class RunConfig:
                   if getattr(self, key) is not None}
         return meshing.PRESETS[self.geometry](**kwargs)
 
-    def materials(self, nu=None) -> MaterialField:
-        return MaterialField(E=self.e_modulus,
-                             nu=self.nu if nu is None else nu,
+    def materials(self) -> MaterialField:
+        return MaterialField(E=self.e_modulus, nu=self.nu,
                              rho_s=self.rho_s, rho_f=self.rho_f,
                              c=self.c, g=self.g)
 
@@ -111,18 +112,10 @@ class RunConfig:
         return self.out_dir
 
 
-_FLOAT_KEYS = {"fluid_width", "fluid_height", "wall", "wall_height",
-               "step", "rho_s", "e_modulus", "nu", "rho_f", "c", "g",
-               "theta"}
-_INT_KEYS = {"n_modes", "seed", "max_dofs", "max_iterations",
-             "initial_level", "mode_index", "workers"}
-_LIST_FLOAT_KEYS = {"nu_list", "window", "reference_omega"}
-_LIST_INT_KEYS = {"levels"}
-_STR_KEYS = {"geometry", "clamp", "family", "out_dir"}
-
-
 def parse_config(text: str) -> dict:
-    """Parse the sectioned key = value format into a flat dict."""
+    """Parse the sectioned key = value format into a flat dict; each
+    value takes the type of its ``RunConfig`` field."""
+    kinds = typing.get_type_hints(RunConfig)
     values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -137,23 +130,17 @@ def parse_config(text: str) -> dict:
                               f"{raw!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _LIST_FLOAT_KEYS:
-            values[key] = tuple(float(v) for v in val.split(",") if
-                                v.strip())
-        elif key in _LIST_INT_KEYS:
-            values[key] = tuple(int(v) for v in val.split(",") if
-                                v.strip())
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
+        if key not in kinds:
             raise ConfigError(f"line {lineno}: unknown key {key!r}"
                               + (f" in section [{section}]" if section
                                  else ""))
+        kind, val = kinds[key], val.strip()
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            values[key] = tuple(item(v) for v in val.split(",")
+                                if v.strip())
+        else:
+            values[key] = kind(val)
     return values
 
 

@@ -260,15 +260,11 @@ class GeometrySpec:
 
     def shortest_edge(self) -> float:
         """Shortest side length among non-empty cells."""
-        cells = self.cell_array
+        filled = self.cell_array != EMPTY
         dx = np.diff(np.asarray(self.xs, float))
         dy = np.diff(np.asarray(self.ys, float))
-        best = np.inf
-        for j in range(cells.shape[0]):
-            for i in range(cells.shape[1]):
-                if cells[j, i] != EMPTY:
-                    best = min(best, dx[i], dy[j])
-        return float(best)
+        return float(min(dx[filled.any(axis=0)].min(),
+                         dy[filled.any(axis=1)].min()))
 
 
 def omega1(fluid_width=1.0, fluid_height=1.0, wall=0.13, wall_height=None,
@@ -348,7 +344,6 @@ def build_cavity_mesh(spec: GeometrySpec, N: int) -> Mesh:
     """
     if N < 1:
         raise MeshError("refinement level N must be >= 1")
-    cells = spec.cell_array
     xs = np.asarray(spec.xs, float)
     ys = np.asarray(spec.ys, float)
     h = spec.shortest_edge() / N
@@ -358,106 +353,55 @@ def build_cavity_mesh(spec: GeometrySpec, N: int) -> Mesh:
                         for i in range(len(nx))] + [xs[-1:]])
     Y = np.concatenate([np.linspace(ys[j], ys[j + 1], ny[j] + 1)[:-1]
                         for j in range(len(ny))] + [ys[-1:]])
-    ix_off = np.concatenate([[0], np.cumsum(nx)])
-    iy_off = np.concatenate([[0], np.cumsum(ny)])
-    nX, nY = len(X), len(Y)
-
-    # lattice occupancy per fine cell
-    occ = np.zeros((nY - 1, nX - 1), dtype=np.int8)
-    for j in range(cells.shape[0]):
-        for i in range(cells.shape[1]):
-            occ[iy_off[j]:iy_off[j + 1], ix_off[i]:ix_off[i + 1]] = cells[j, i]
-
-    def gid(ix, iy):
-        return iy * nX + ix
-
-    tris, tags, refs = [], [], []
-    for iy in range(nY - 1):
-        for ix in range(nX - 1):
-            sub = occ[iy, ix]
-            if sub == EMPTY:
-                continue
-            p00, p10 = gid(ix, iy), gid(ix + 1, iy)
-            p01, p11 = gid(ix, iy + 1), gid(ix + 1, iy + 1)
-            # diagonal p00-p11 is the longest edge of both triangles
-            tris.append((p00, p10, p11))
-            refs.append(1)
-            tris.append((p00, p11, p01))
-            refs.append(2)
-            tags.extend((sub, sub))
-    tris = np.asarray(tris, dtype=np.int64)
-    used = np.unique(tris)
-    remap = np.full(nX * nY, -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    tris = remap[tris]
+    nX = len(X)
+    # lattice occupancy per fine cell; lattice vertex (ix, iy) has id
+    # iy * nX + ix
+    occ = np.repeat(np.repeat(spec.cell_array, ny, axis=0), nx, axis=1)
     gx, gy = np.meshgrid(X, Y)
-    verts = np.column_stack([gx.ravel()[used], gy.ravel()[used]])
+    x, y = gx.ravel(), gy.ravel()
 
-    edge_tags = _tag_lattice_edges(spec, occ, X, Y, used, remap)
-    mesh = Mesh(verts, tris, np.asarray(tags), np.asarray(refs), edge_tags)
-    _check_built_mesh(mesh, spec)
-    return mesh
+    # two triangles per occupied cell, row by row: (p00, p10, p11) and
+    # (p00, p11, p01), whose refinement edge is the diagonal p00-p11
+    iy, ix = np.nonzero(occ)
+    p00 = iy * nX + ix
+    p11 = p00 + nX + 1
+    tris = np.stack([p00, p00 + 1, p11, p00, p11, p00 + nX],
+                    axis=1).reshape(-1, 3)
+    used = np.unique(tris)
+    remap = np.full(len(x), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
 
+    # lattice edge lo-hi lies between the cells a and b: below and above
+    # a horizontal edge, left and right of a vertical one; cells outside
+    # the lattice are EMPTY
+    pad = np.pad(occ, 1, constant_values=EMPTY)
+    ids = np.arange(len(x)).reshape(gx.shape)
+    a = np.concatenate([pad[:-1, 1:-1].ravel(), pad[1:-1, :-1].ravel()])
+    b = np.concatenate([pad[1:, 1:-1].ravel(), pad[1:-1, 1:].ravel()])
+    lo = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    hi = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    if spec.clamp == "outer":
+        clamped = np.ones(len(lo), dtype=bool)
+    elif spec.clamp == "sides":
+        clamped = (x[lo] == x[hi]) & ((x[lo] == X[0]) | (x[lo] == X[-1]))
+    else:   # "bottom"
+        clamped = (y[lo] == y[hi]) & (y[lo] == Y[0])
+    # past the interior and interface edges, one side is EMPTY
+    tag = np.select([a == b, (a != EMPTY) & (b != EMPTY),
+                     (a == FLUID) | (b == FLUID), clamped],
+                    [INTERIOR, INTERFACE, GAMMA_0, GAMMA_D], GAMMA_N)
+    keep = tag != INTERIOR
+    edge_tags = dict(zip(zip(remap[lo[keep]].tolist(),
+                             remap[hi[keep]].tolist()), tag[keep].tolist()))
 
-def _tag_lattice_edges(spec, occ, X, Y, used, remap):
-    """Tags for axis-aligned lattice edges from cell occupancy."""
-    nX, nY = len(X), len(Y)
-    xmin, xmax = X[0], X[-1]
-    ymin = Y[0]
-    tags = {}
-
-    def solid_boundary_tag(axis, coord):
-        if spec.clamp == "outer":
-            return GAMMA_D
-        if spec.clamp == "sides":
-            if axis == "v" and (coord == xmin or coord == xmax):
-                return GAMMA_D
-            return GAMMA_N
-        if spec.clamp == "bottom":
-            if axis == "h" and coord == ymin:
-                return GAMMA_D
-            return GAMMA_N
-        raise MeshError(f"unknown clamp rule {spec.clamp!r}")
-
-    def classify(a, b, axis, coord):
-        if a == b:
-            return None if a == EMPTY else INTERIOR
-        pair = {a, b}
-        if pair == {SOLID, FLUID}:
-            return INTERFACE
-        sub = a if a != EMPTY else b
-        if sub == FLUID:
-            return GAMMA_0
-        return solid_boundary_tag(axis, coord)
-
-    # horizontal edges: between cell rows iy-1 and iy
-    for iy in range(nY):
-        for ix in range(nX - 1):
-            below = occ[iy - 1, ix] if iy > 0 else EMPTY
-            above = occ[iy, ix] if iy < nY - 1 else EMPTY
-            tag = classify(below, above, "h", Y[iy])
-            if tag not in (None, INTERIOR):
-                a, b = remap[iy * nX + ix], remap[iy * nX + ix + 1]
-                tags[(min(a, b), max(a, b))] = tag
-    # vertical edges: between cell columns ix-1 and ix
-    for ix in range(nX):
-        for iy in range(nY - 1):
-            left = occ[iy, ix - 1] if ix > 0 else EMPTY
-            right = occ[iy, ix] if ix < nX - 1 else EMPTY
-            tag = classify(left, right, "v", X[ix])
-            if tag not in (None, INTERIOR):
-                a, b = remap[iy * nX + ix], remap[(iy + 1) * nX + ix]
-                tags[(min(a, b), max(a, b))] = tag
-    return tags
-
-
-def _check_built_mesh(mesh, spec):
-    if np.any(mesh.areas() <= 0):
-        raise MeshError(f"degenerate geometry in preset {spec.preset!r}")
+    mesh = Mesh(np.column_stack([x[used], y[used]]), remap[tris],
+                np.repeat(occ[iy, ix], 2), np.tile([1, 2], len(iy)),
+                edge_tags)
     report = validate(mesh)
     if not report.ok:
         raise MeshError(
             f"generated mesh violates invariants: {report.failures()}")
+    return mesh
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,9 @@ from scipy.optimize import least_squares
 
 from .assembly import build_block_system
 from .config import RunConfig
-from .eigensolve import (ShiftFactor, SpectrumReport, count_below,
-                         solve_pencil, filter_modes, EigenSolveError)
+from .eigensolve import (DEFAULT_SEED, ShiftFactor, SpectrumReport,
+                         count_below, solve_pencil, filter_modes,
+                         EigenSolveError)
 from .meshing import build_cavity_mesh
 
 
@@ -45,7 +46,7 @@ RESIDUAL_TOL = 1e-7       # in-window pairs
 GRAM_TOL = 0.5            # largest |x_i^T B x_j| of two kept pairs, i != j
 
 
-def solve_window(system, omega_window, seed=20260808,
+def solve_window(system, omega_window, seed=DEFAULT_SEED,
                  expect=RunConfig.n_modes):
     """Physical eigenpairs with omega inside the window, ascending.
 
@@ -255,8 +256,8 @@ class ConvergenceTable:
         return "\n".join(lines) + "\n"
 
 
-def _solve_level(config: RunConfig, N: int, nu=None):
-    mats = config.materials(nu)
+def _solve_level(config: RunConfig, N: int):
+    mats = config.materials()
     mesh = build_cavity_mesh(config.geometry_spec(), N)
     system = build_block_system(mesh, config.family, mats)
     pairs, _ = solve_window(system, config.window, seed=config.seed,
@@ -269,7 +270,7 @@ def _solve_level(config: RunConfig, N: int, nu=None):
     return N, system.n, omegas
 
 
-def run_uniform_study(config: RunConfig, nu=None) -> ConvergenceTable:
+def run_uniform_study(config: RunConfig) -> ConvergenceTable:
     """Build, assemble, solve and filter per mesh level; fit each mode."""
     levels = tuple(sorted(config.levels))
     if not levels:
@@ -278,7 +279,7 @@ def run_uniform_study(config: RunConfig, nu=None) -> ConvergenceTable:
     rows = []
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_solve_level, config, N, nu)
+            futures = [pool.submit(_solve_level, config, N)
                        for N in levels]
             for N, fut in zip(levels, futures):
                 try:
@@ -289,7 +290,7 @@ def run_uniform_study(config: RunConfig, nu=None) -> ConvergenceTable:
     else:
         for N in levels:
             try:
-                rows.append(_solve_level(config, N, nu))
+                rows.append(_solve_level(config, N))
             except (StudyError, EigenSolveError) as err:
                 raise StudyError(f"solve failed at N={N}: {err}") from err
     dofs = tuple(r[1] for r in rows)

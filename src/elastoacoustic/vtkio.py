@@ -31,12 +31,8 @@ def point_data_from_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair):
     nv = mesh.num_vertices
     u_pts = np.zeros((nv, 2))
     p_pts = np.zeros(nv)
-    umap = spaces.u_map
-    sel = (umap.entity == 0) & (umap.component == 0)
-    vids = umap.entity_id[sel]
-    dofs = np.flatnonzero(sel)
-    u_pts[vids, 0] = mode.u[dofs]
-    u_pts[vids, 1] = mode.u[dofs + 1]
+    vids = np.flatnonzero(spaces.u_vertex_dof >= 0)
+    u_pts[vids] = mode.u.reshape(-1, 2)[spaces.u_vertex_dof[vids]]
     pmap = spaces.p_map
     vids = pmap.entity_id[pmap.entity == 0]
     p_pts[vids] = mode.p
@@ -59,12 +55,9 @@ def cell_data_from_mode(mesh: Mesh, spaces: Spaces, mode: EigenPair):
     return w_cells
 
 
-def export_fields(mesh: Mesh, mode: EigenPair, path, spaces: Spaces = None,
+def export_fields(mesh: Mesh, mode: EigenPair, path, spaces: Spaces,
                   indicators=None) -> str:
     """Write a VTK legacy ASCII unstructured grid with the mode fields."""
-    if spaces is None:
-        raise ValueError("spaces are required to interpret the mode "
-                         "coefficient vectors")
     u_pts, p_pts = point_data_from_mode(mesh, spaces, mode)
     w_cells = cell_data_from_mode(mesh, spaces, mode)
     nv, nt = mesh.num_vertices, mesh.num_triangles

@@ -240,14 +240,14 @@ class TestCli:
         # flags override file keys, so --nu is the only Poisson ratio run
         seen = []
 
-        def study(config, nu=None):
-            seen.append(nu)
+        def study(config):
+            seen.append(config.nu)
             return ConvergenceTable((1,), (10,), ((1.0,),), (), ())
 
-        def adapt(config, nu=None):
-            seen.append(nu)
-            history = AdaptiveHistory(config.geometry, config.family, nu,
-                                      config.mode_index)
+        def adapt(config):
+            seen.append(config.nu)
+            history = AdaptiveHistory(config.geometry, config.family,
+                                      config.nu, config.mode_index)
             history.append(iteration=0, dofs=10, cells=4, omega=1.0,
                            eta2=1.0, theta2=0.0, err=None, eff=None,
                            wall_time=0.0)

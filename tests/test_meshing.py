@@ -98,6 +98,40 @@ class TestBuild:
             msh.GeometrySpec("bad", (0.0, 1.0), (0.0, 1.0),
                              ((msh.EMPTY,),))
 
+    @pytest.mark.parametrize("wall_height", [None, 1.3])
+    @pytest.mark.parametrize("clamp", ["sides", "bottom", "outer"])
+    def test_clamp_rules_and_freeboard(self, clamp, wall_height):
+        wall, width, height = 0.13, 1.0, 1.0
+        m = msh.build_cavity_mesh(
+            msh.omega1(width, height, wall, wall_height, clamp), 4)
+        (ax, ay), (bx, by) = (m.vertices[m.edges[:, k]].T for k in (0, 1))
+        one_sided = m.edge_tris[:, 1] < 0
+        side = m.tri_tag[m.edge_tris[:, 0]]
+        solid_boundary = one_sided & (side == SOLID)
+        # Gamma_D is exactly the solid boundary on the rule's lines
+        on_line = {
+            "bottom": (ay == -wall) & (by == -wall),
+            "sides": (ax == bx) & np.isin(ax, (-wall, width + wall)),
+            "outer": np.ones(m.num_edges, dtype=bool),
+        }[clamp]
+        assert solid_boundary.any()
+        np.testing.assert_array_equal(m.edge_tag == GAMMA_D,
+                                      solid_boundary & on_line)
+        np.testing.assert_array_equal(m.edge_tag == GAMMA_N,
+                                      solid_boundary & ~on_line)
+        # the fluid's top edges are the free surface, with or without a
+        # dry freeboard above it
+        top = (ay == height) & (by == height) & (ax >= 0) & (bx <= width)
+        assert top.any()
+        np.testing.assert_array_equal(m.edge_tag == GAMMA_0, top)
+        np.testing.assert_array_equal(one_sided & (side == FLUID), top)
+        # the inner wall faces above the free surface face the empty block
+        facing = ((ax == bx) & np.isin(ax, (0.0, width))
+                  & (ay >= height) & (by >= height))
+        assert facing.any() == (wall_height is not None)
+        assert np.all(m.edge_tag[facing]
+                      == (GAMMA_D if clamp == "outer" else GAMMA_N))
+
 
 class TestBisect:
     def test_single_mark_with_closure(self, unit_square_mesh):

@@ -13,14 +13,18 @@ and runs, and their dense_fallback and partial flags; the summary gives
 the largest relative difference of the in-window kappa, whether every
 count agrees, the work and the flags summed over the sweep, and the
 stored entries (nnz) of A, B and C summed over its systems, which are
-reported only.  The exit status is 1 when a count differs, a window
-fails on one side only, a kappa differs by more than 1e-9 relative, or
-the trees differ on a flag.
+reported only.  Each system's mesh is hashed (SHA-256 of
+``MESH_ARRAYS``): one line per system says whether the two trees built
+the same mesh bit for bit, and the summary counts the equal meshes,
+also reported only.  The exit status is 1 when a count differs, a
+window fails on one side only, a kappa differs by more than 1e-9
+relative, or the trees differ on a flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -36,23 +40,39 @@ KAPPA_TOL = 1e-9
 WORK = ("factorizations", "inverse_applications", "rungs")
 FLAGS = ("dense_fallback", "partial")
 MATRICES = ("A", "B", "C")
+MESH_ARRAYS = ("vertices", "triangles", "tri_tag", "tri_refedge", "edges",
+               "edge_tag")
+
+
+def systems():
+    return list(itertools.product(GEOMETRIES, FAMILIES, NUS, LEVELS))
 
 
 def sweep():
-    return list(itertools.product(GEOMETRIES, FAMILIES, NUS, LEVELS,
-                                  WINDOWS))
+    return [system + (window,) for system in systems()
+            for window in WINDOWS]
+
+
+def mesh_digest(mesh):
+    """SHA-256 of the mesh arrays, with their dtypes and shapes."""
+    digest = hashlib.sha256()
+    for name in MESH_ARRAYS:
+        arr = getattr(mesh, name)
+        digest.update(f"{name} {arr.dtype} {arr.shape}".encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def solve_sweep():
     """Solve every window of the sweep with the package on sys.path: the
-    nnz of each system's matrices, and one JSON record per window in
-    sweep order."""
+    nnz of each system's matrices, each system's mesh digest, and one
+    JSON record per window in sweep order."""
     import elastoacoustic as ea
 
-    nnz, out = dict.fromkeys(MATRICES, 0), []
-    for geometry, family, nu, level in itertools.product(
-            GEOMETRIES, FAMILIES, NUS, LEVELS):
+    nnz, meshes, out = dict.fromkeys(MATRICES, 0), [], []
+    for geometry, family, nu, level in systems():
         mesh = ea.build_cavity_mesh(ea.meshing.PRESETS[geometry](), level)
+        meshes.append(mesh_digest(mesh))
         system = ea.build_block_system(mesh, family,
                                        ea.MaterialField(nu=nu))
         for name in MATRICES:
@@ -67,14 +87,15 @@ def solve_sweep():
             out.append({"kappas": [p.kappa for p in pairs],
                         "count": rep.window_count,
                         **{k: getattr(rep, k) for k in WORK + FLAGS}})
-    return {"nnz": nnz, "windows": out}
+    return {"nnz": nnz, "meshes": meshes, "windows": out}
 
 
-def run_tree(tree):
+def run_tree(tree, script=__file__):
+    """The JSON that ``script --worker`` prints with TREE on sys.path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+    proc = subprocess.run([sys.executable, os.path.abspath(script),
                            "--worker"], env=env, capture_output=True,
                           text=True, check=False)
     if proc.returncode != 0:
@@ -86,15 +107,19 @@ def compare(old, new):
     """Printed lines and the exit status of the comparison of two sweep
     results."""
     old_nnz, new_nnz = old["nnz"], new["nnz"]
+    meshes_equal = [a == b for a, b in zip(old["meshes"], new["meshes"])]
     old, new = old["windows"], new["windows"]
     lines, worst, counts_equal, mismatched = [], 0.0, True, 0
     flags_equal = True
     totals = {side: dict.fromkeys(WORK + FLAGS, 0)
               for side in ("old", "new")}
-    for case, a, b in zip(sweep(), old, new):
+    for i, (case, a, b) in enumerate(zip(sweep(), old, new)):
         geometry, family, nu, level, (w_lo, w_hi) = case
-        label = (f"{geometry} {family:11s} nu={nu:<5} N={level} "
-                 f"({w_lo:g}, {w_hi:g})")
+        system = f"{geometry} {family:11s} nu={nu:<5} N={level}"
+        if i % len(WINDOWS) == 0:
+            same = meshes_equal[i // len(WINDOWS)]
+            lines.append(f"{system}  mesh {'equal' if same else 'differs'}")
+        label = f"{system} ({w_lo:g}, {w_hi:g})"
         if "error" in a or "error" in b:
             both = "error" in a and "error" in b
             mismatched += not both
@@ -126,6 +151,7 @@ def compare(old, new):
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in FLAGS))
     lines.append("nnz over the sweep systems: " + ", ".join(
         f"{k} {old_nnz[k]} -> {new_nnz[k]}" for k in MATRICES))
+    lines.append(f"meshes equal {sum(meshes_equal)}/{len(meshes_equal)}")
     ok = (counts_equal and flags_equal and not mismatched
           and worst <= KAPPA_TOL)
     return lines, 0 if ok else 1
