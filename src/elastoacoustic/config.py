@@ -114,7 +114,9 @@ class RunConfig:
 
 def parse_config(text: str) -> dict:
     """Parse the sectioned key = value format into a flat dict; each
-    value takes the type of its ``RunConfig`` field."""
+    value takes the type of its ``RunConfig`` field.  An unknown key or
+    a value that does not parse as that type raises ConfigError naming
+    the line and the key."""
     kinds = typing.get_type_hints(RunConfig)
     values = {}
     section = None
@@ -135,12 +137,16 @@ def parse_config(text: str) -> dict:
                               + (f" in section [{section}]" if section
                                  else ""))
         kind, val = kinds[key], val.strip()
-        if typing.get_origin(kind) is tuple:
-            item = typing.get_args(kind)[0]
-            values[key] = tuple(item(v) for v in val.split(",")
-                                if v.strip())
-        else:
-            values[key] = kind(val)
+        try:
+            if typing.get_origin(kind) is tuple:
+                item = typing.get_args(kind)[0]
+                values[key] = tuple(item(v) for v in val.split(",")
+                                    if v.strip())
+            else:
+                values[key] = kind(val)
+        except ValueError as err:
+            raise ConfigError(f"line {lineno}: bad value {val!r} for key "
+                              f"{key!r}: {err}") from None
     return values
 
 

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .assembly import build_block_system
 from .config import RunConfig
@@ -44,6 +43,8 @@ class StudyError(Exception):
 
 RESIDUAL_TOL = 1e-7       # in-window pairs
 GRAM_TOL = 0.5            # largest |x_i^T B x_j| of two kept pairs, i != j
+MAX_FIT_STEPS = 100       # Gauss-Newton steps of one extrapolate fit
+T_RANGE = 230.0           # largest |t| ln N of a fit: N^(-t) within 1e+-100
 
 
 def solve_window(system, omega_window, seed=DEFAULT_SEED,
@@ -188,33 +189,78 @@ def fit_rate(h_values, errors) -> float:
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
+def _fit_linear(x, y):
+    """Least-squares (a, C) of y ~ a + C x, the residual a + C x - y,
+    the centred x and its squared norm."""
+    xc = x - x.mean()
+    s = xc @ xc
+    C = (xc @ (y - y.mean())) / s if s > 0 else 0.0
+    a = y.mean() - C * x.mean()
+    return a, C, a + C * x - y, xc, s
+
+
 def extrapolate(N_values, omegas):
     """Fit omega(N) = omega_extr + C N^(-t), returning
     (omega_extr, t, C).
 
-    Deterministic initialization: t0 = 2, omega0 = last omega, C0 from
-    the first point.  The Levenberg-Marquardt fit returns its last
-    iterate even if it stops unconverged; StudyError is raised only for
-    invalid input (fewer than three pairs, lengths that differ, or an N
-    or omega that is not positive).
+    The fit is by variable projection (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 1973).  For a fixed t the model is linear in
+    (omega_extr, C), whose least-squares values solve the centred 2 x 2
+    problem on the columns [1, N^(-t)]; the omegas enter relative to
+    omega[-1].  The residual r(t) then depends on t alone, and
+    Gauss-Newton searches t from t0 = 2 with Kaufman's projected
+    derivative J = P (d/dt N^(-t)) C, P the projector onto the
+    complement of the two columns, for which J . r is the exact
+    derivative of |r|^2 / 2.  A step that raises |r| by more than the
+    data's roundoff tol = n eps |omega| is halved until it does not,
+    and the search keeps the step and stops as soon as a step no longer
+    reduces |r| by more than tol.  Each step is one linear solve, five
+    per fit on the printed reference rows.
+
+    Degenerate data: the search stops at once when |J| <= tol, since t
+    is then not determined by the data.  A constant column returns
+    (omega[-1], 2.0, 0.0), and a column that varies by roundoff keeps
+    t = 2 instead of drifting on a C of roundoff size.  A column that
+    is not monotone can drive t outward; t stays where |t| ln N <=
+    T_RANGE, so every value stays finite.  StudyError is raised only
+    for invalid input (fewer than three pairs, lengths that differ, or
+    an N or omega that is not positive and finite).
     """
     N = np.asarray(N_values, float)
     w = np.asarray(omegas, float)
     if len(N) < 3 or len(N) != len(w):
         raise StudyError("need at least 3 (N, omega) pairs")
-    if np.any(N <= 0) or np.any(w <= 0):
-        raise StudyError("extrapolation needs positive data")
-    w0, t0 = w[-1], 2.0
-    C0 = (w[0] - w0) * N[0] ** t0
-
-    def resid(params):
-        we, C, t = params
-        return we + C * N ** (-t) - w
-
-    sol = least_squares(resid, [w0, C0, t0], method="lm", xtol=1e-14,
-                        ftol=1e-14, max_nfev=10000)
-    we, C, t = sol.x
-    return float(we), float(t), float(C)
+    if not (np.all(N > 0) and np.all(w > 0)
+            and np.all(np.isfinite(N)) and np.all(np.isfinite(w))):
+        raise StudyError("extrapolation needs positive, finite data")
+    y = w - w[-1]
+    ln_N = np.log(N)
+    tol = len(w) * np.finfo(float).eps * np.linalg.norm(w)
+    t = 2.0
+    x = np.exp(-t * ln_N)
+    a, C, r, xc, s = _fit_linear(x, y)
+    norm = np.linalg.norm(r)
+    for _ in range(MAX_FIT_STEPS):
+        J = -C * ln_N * x
+        J -= J.mean()
+        if s > 0:
+            J -= (xc @ J) / s * xc
+        if np.linalg.norm(J) <= tol:
+            break
+        step = -(J @ r) / (J @ J)
+        t_max = T_RANGE / np.abs(ln_N).max()
+        while True:
+            t_new = min(max(t + step, -t_max), t_max)
+            x = np.exp(-t_new * ln_N)
+            a, C, r, xc, s = _fit_linear(x, y)
+            if np.linalg.norm(r) <= norm + tol:
+                break
+            step *= 0.5
+        t, last = t_new, norm
+        norm = np.linalg.norm(r)
+        if norm >= last - tol:
+            break
+    return float(w[-1] + a), float(t), float(C)
 
 
 # ----------------------------------------------------------------------

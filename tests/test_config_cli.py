@@ -73,6 +73,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(path)
 
+    @pytest.mark.parametrize("line", ["levels = 1.5", "n_modes = x",
+                                      "nu = abc", "levels = 1, x"])
+    def test_unparsable_value_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"line 2: .*'{key}'"):
+            parse_config(f"[x]\n{line}\n")
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(theta=0.0)

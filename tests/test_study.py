@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import elastoacoustic
+from elastoacoustic import study
 from elastoacoustic.config import RunConfig
 from elastoacoustic.study import (ConvergenceTable, StudyError,
                                   extrapolate, fit_rate,
@@ -17,6 +24,15 @@ O1_MINI_M1 = ([8, 10, 12, 14], [452.4554, 449.4600, 447.7540, 446.6792],
               443.3200, 1.83)
 O2_TH_M1 = ([10, 12, 14, 16], [399.6299, 399.4973, 399.4046, 399.3362],
             399.0376, 1.48)
+
+# least-squares minimisers (omega*, t*) of the four rows, computed offline
+# in 50-digit arithmetic (mpmath) from the printed decimals: the exact
+# variable-projection residual of t, minimised by root-finding on its
+# derivative
+LSQ_MINIMISERS = [(O1_TH_M1, 442.8415427469146, 1.128650706534096),
+                  (O1_TH_M2, 1469.795291867292, 1.098042257037803),
+                  (O1_MINI_M1, 443.2400180021809, 1.760902901509587),
+                  (O2_TH_M1, 398.9133319831777, 1.12205882479637)]
 
 
 class TestFitRate:
@@ -83,11 +99,63 @@ class TestExtrapolate:
         assert we == pytest.approx(we_ref, rel=5e-4)
         assert 1.0 <= t <= 1.6
 
+    @pytest.mark.parametrize("row,we_ref,t_ref", LSQ_MINIMISERS)
+    def test_reaches_the_least_squares_minimiser(self, row, we_ref, t_ref):
+        we, t, _ = extrapolate(row[0], row[1])
+        assert we == pytest.approx(we_ref, rel=1e-12)
+        assert t == pytest.approx(t_ref, rel=1e-9)
+
+    def test_few_linear_solves_per_fit(self, monkeypatch):
+        calls = []
+        fit_linear = study._fit_linear
+        monkeypatch.setattr(study, "_fit_linear",
+                            lambda *a: calls.append(1) or fit_linear(*a))
+        for row, _, _ in LSQ_MINIMISERS:
+            calls.clear()
+            extrapolate(row[0], row[1])
+            assert len(calls) <= 20
+
+    def test_constant_column(self):
+        assert extrapolate([2, 4, 6], [3.3, 3.3, 3.3]) == (3.3, 2.0, 0.0)
+
+    def test_roundoff_column_keeps_the_start_order(self):
+        # a C of roundoff size gives no information about t
+        w = [1.0, 1.0, 1.0 + 2.0 ** -52, 1.0]
+        we, t, C = extrapolate([8, 10, 12, 14], w)
+        assert t == 2.0
+        assert we == pytest.approx(1.0, abs=1e-15)
+        assert abs(C) < 1e-13
+
+    @pytest.mark.parametrize("N,w", [
+        ([8, 10, 12], [5.0, 3.0, 4.0]),
+        ([8, 10, 12, 14], [1.0, 3.0, 2.0, 4.0]),
+        ([8, 10, 12, 14], [443.1, 443.3, 443.2, 443.25]),
+        ([100, 200, 400], [5.0, 3.0, 4.0]),
+        ([8, 10, 12, 14], [1.0, 2.0, 3.0, 4.0])])
+    def test_column_that_is_not_monotone_decreasing(self, N, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = extrapolate(N, w)
+        assert np.all(np.isfinite(fit))
+
+    def test_import_and_fit_leave_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(elastoacoustic.__file__))
+        code = ("import sys, elastoacoustic\n"
+                "elastoacoustic.extrapolate([2, 4, 6], [3.0, 2.0, 1.5])\n"
+                "print(' '.join(m for m in ('scipy.optimize', "
+                "'scipy.spatial', 'scipy.special') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []
+
     def test_invalid_inputs(self):
         with pytest.raises(StudyError):
             extrapolate([8, 10], [1.0, 2.0])
         with pytest.raises(StudyError):
             extrapolate([8, 10, 12], [1.0, -2.0, 3.0])
+        with pytest.raises(StudyError):
+            extrapolate([8, 10, 12], [3.0, np.nan, 1.0])
 
 
 class TestUniformStudy:
