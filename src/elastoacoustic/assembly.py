@@ -17,8 +17,9 @@ Gamma_D) drop out in that map; A and B share one sparsity pattern, and
 an entry and its mirror add the same contributions in the same order,
 so both are bitwise symmetric.  The interface constraint couples solid
 and fluid normal traces through edge moments, built for all interface
-edges at once.  Each system reduces its constrained pencil once, on the
-basis W = D Z of ker C (``BlockSystem.pencil``).
+edges at once.  Each system builds the basis W = D Z of ker C once
+(``BlockSystem.basis``); the reduced matrices W^T A W and W^T B W are
+formed where they are used (``BlockSystem.reduce``) and not kept.
 """
 
 from __future__ import annotations
@@ -568,24 +569,30 @@ class BlockSystem:
         return self.A.shape[0]
 
     @functools.cached_property
-    def pencil(self):
-        """The constrained pencil reduced once: (W, W^T A W, W^T B W),
-        the two products in csc format.
+    def basis(self) -> sp.csr_matrix:
+        """The basis W = D Z of the constrained pencil, built once.
 
-        W = D Z, with Z the basis of ker C from ``nullspace_basis`` and D
-        the pressure scaling of ``equilibration``.  C has no pressure
+        Z is the basis of ker C from ``nullspace_basis`` and D the
+        pressure scaling of ``equilibration``.  C has no pressure
         columns, so C D = C and W still spans ker C: x = W y satisfies
-        the constraint for every y.
+        the constraint for every y.  The reduced matrices W^T A W and
+        W^T B W are not kept: each factor and each run forms what it
+        needs (``reduce``) and drops it.
         """
         W = nullspace_basis(self)
         d = equilibration(self)
         if d is not None:
             W = (sp.diags(d) @ W).tocsr()
-        return W, (W.T @ self.A @ W).tocsc(), (W.T @ self.B @ W).tocsc()
+        return W
+
+    def reduce(self, M) -> sp.csc_matrix:
+        """W^T M W in csc format, for M = A or B."""
+        W = self.basis
+        return (W.T @ M @ W).tocsc()
 
     @functools.cached_property
     def count_orders(self) -> dict:
-        """Pivot-free orderings of the reduced pencil that
+        """Pivot-free orderings of the reduced operator that
         ``eigensolve.ShiftFactor`` has made, kept for the system's later
         factors."""
         return {}

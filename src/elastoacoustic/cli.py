@@ -214,9 +214,10 @@ def cmd_fit(args) -> int:
         w = np.asarray(data[name], float)[good]
         we, t, C = extrapolate(N, w)
         errs = np.abs(w ** 2 - we ** 2)
-        slope = fit_rate(1.0 / N, errs)
+        # a zero error (a constant column) has no logarithm, so no rate
+        rate = f"{fit_rate(1.0 / N, errs):.3f}" if errs.all() else "n/a"
         print(f"{name}: omega_extr = {we:.4f}, order t = {t:.3f}, "
-              f"eigenvalue-error rate = {slope:.3f}")
+              f"eigenvalue-error rate = {rate}")
     return 0
 
 

@@ -1,11 +1,15 @@
 """Constrained symmetric generalized eigensolver.
 
 Solves A x = kappa B x subject to C x = 0 for the eigenvalues just above
-a shift, via shift-invert Lanczos on the reduced pencil the system
-builds once (``BlockSystem.pencil``): with W = D Z, Z eliminating one
-fluid moment dof per interface row and D balancing the pressure block,
-every x = W y satisfies the constraint, and (W^T A W, W^T B W) is shared
-by all shifts solved on the system.  Shift-invert maps each eigenvalue
+a shift, via shift-invert Lanczos on the pencil (W^T A W, W^T B W)
+reduced on the basis the system builds once (``BlockSystem.basis``):
+with W = D Z, Z eliminating one fluid moment dof per interface row and
+D balancing the pressure block, every x = W y satisfies the constraint.
+The reduced matrices are not kept on the system: each factor forms
+W^T A W - sigma W^T B W and drops the parts before it factors, and each
+run forms W^T B W (and W^T A W on the dense path) and drops it when it
+returns, so no copy of the pencil sits beside a factor and its inertia
+count.  Shift-invert maps each eigenvalue
 kappa to 1/(kappa - sigma), so the modes just above sigma are the
 largest algebraically; everything below sigma, the kappa = 0 kernel
 included, stays out of the Krylov space.  This one-sided run is the only
@@ -190,7 +194,9 @@ class ShiftFactor:
 
     def __init__(self, system: BlockSystem, sigma: float, work=None):
         self.sigma = float(sigma)
-        M = (system.pencil[1] - self.sigma * system.pencil[2]).tocsc()
+        A, B = system.reduce(system.A), system.reduce(system.B)
+        M = (A - self.sigma * B).tocsc()
+        del A, B
         M.eliminate_zeros()
         zero = M.diagonal() == 0.0
         self.order = None
@@ -293,20 +299,23 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
     """
     if n_modes < 1:
         raise EigenSolveError("n_modes must be >= 1")
-    W, A, B = system.pencil
-    n = A.shape[0]
+    W = system.basis
+    n = W.shape[1]
     notes, work, partial = [], {}, False
     dense = n_modes >= n // 2 or n <= max(4 * n_modes + 4, 60)
     if dense:
         notes.append("dense fallback")
-        theta, vecs = _dense_shifted(A.toarray(), B.toarray(), sigma)
+        theta, vecs = _dense_shifted(system.reduce(system.A).toarray(),
+                                     system.reduce(system.B).toarray(),
+                                     sigma)
         take = np.flatnonzero(theta > 0.0)[::-1][:n_modes]
         kappas, vecs = sigma + 1.0 / theta[take], vecs[:, take]
     else:
         if factor is None:
             factor = ShiftFactor(system, sigma, work)
         try:
-            kappas, vecs = _arpack(A, B, factor, n_modes, seed, work)
+            kappas, vecs = _arpack(system.reduce(system.B), factor,
+                                   n_modes, seed, work)
         except spla.ArpackNoConvergence as err:
             kappas, vecs = err.eigenvalues, err.eigenvectors
             notes.append(f"arpack converged only {len(kappas)}/{n_modes} "
@@ -321,10 +330,10 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
                           dense_fallback=dense, partial=partial, **work)
 
 
-def _arpack(A, B, factor, n_modes, seed, work):
-    """ARPACK shift-invert solve on ``factor``; ``work`` receives the
-    report's counts."""
-    n = A.shape[0]
+def _arpack(B, factor, n_modes, seed, work):
+    """ARPACK shift-invert solve on ``factor`` with the inner product of
+    the reduced B; ``work`` receives the report's counts."""
+    n = B.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
@@ -336,7 +345,10 @@ def _arpack(A, B, factor, n_modes, seed, work):
         return factor.solve(x)
 
     op = spla.LinearOperator((n, n), matvec=inverse)
-    return spla.eigsh(A, k=n_modes, M=B, sigma=factor.sigma, which="LA",
+    # ARPACK's shift-invert mode applies only the inverse and B: eigsh
+    # reads its first argument (A) for the shape and dtype alone, so the
+    # reduced A need not be formed
+    return spla.eigsh(B, k=n_modes, M=B, sigma=factor.sigma, which="LA",
                       v0=v0, ncv=ncv, tol=0.0, OPinv=op,
                       maxiter=max(400, 40 * n_modes))
 
@@ -354,7 +366,7 @@ def _delay_zero_diagonal(M, order, zero):
 
 
 def _make_pair(system: BlockSystem, kappa, x):
-    W = system.pencil[0]
+    W = system.basis
     Ax = system.A @ x
     Bx = system.B @ x
     xbx = float(x @ Bx)

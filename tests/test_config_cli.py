@@ -285,3 +285,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "omega_extr = 443.0" in out
         assert "order t = 2.0" in out
+
+    def test_fit_constant_column(self, tmp_path, capsys):
+        # omega_extr equals every omega of a constant column, so its
+        # errors are zero: the rate is printed as n/a, not raised
+        csv = tmp_path / "study.csv"
+        csv.write_text("N,dofs,omega_1,omega_2\n"
+                       + "".join(f"{N},0,3.3,{443.0 + 30.0 * N ** -2.0}\n"
+                                 for N in (8, 10, 12)))
+        rc = main(["fit", str(csv)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("omega_1: omega_extr = 3.3000")
+        assert lines[0].endswith("eigenvalue-error rate = n/a")
+        assert "n/a" not in lines[1]

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from elastoacoustic import assembly
@@ -276,6 +277,42 @@ class TestInertiaCount:
         for spec, perm_r, perm_c in factored:
             pivot_free = np.array_equal(perm_r, perm_c)
             assert pivot_free == (spec == "NATURAL")
+
+    @pytest.mark.parametrize("nu", [0.35, 0.5])
+    def test_factor_matches_explicit_operator(self, omega1_n2, materials,
+                                              nu):
+        # the factor of W^T A W - sigma W^T B W formed from an explicit
+        # basis counts, fills and solves exactly as ShiftFactor does; at
+        # nu = 1/2 both take the delayed ordering
+        sys_ = build_block_system(omega1_n2, "taylor-hood",
+                                  replace(materials, nu=nu))
+        sigma = 400.0 ** 2
+        W = assembly.nullspace_basis(sys_)
+        d = assembly.equilibration(sys_)
+        W = (sp.diags(d) @ W).tocsr()
+        A = (W.T @ sys_.A @ W).tocsc()
+        B = (W.T @ sys_.B @ W).tocsc()
+        M = (A - sigma * B).tocsc()
+        M.eliminate_zeros()
+        zero = M.diagonal() == 0.0
+        order = np.arange(M.shape[0])
+        if nu == 0.5:
+            assert zero.any()
+            first = eigensolve._ldl(M, "MMD_AT_PLUS_A", sigma, None)
+            order = eigensolve._delay_zero_diagonal(
+                M, np.argsort(first.perm_c), zero)
+            lu = eigensolve._ldl(M[order][:, order].tocsc(), "NATURAL",
+                                 sigma, None)
+        else:
+            assert not zero.any()
+            lu = eigensolve._ldl(M, "MMD_AT_PLUS_A", sigma, None)
+        factor = eigensolve.ShiftFactor(sys_, sigma)
+        x = np.random.default_rng(7).standard_normal(M.shape[0])
+        y = np.empty_like(x)
+        y[order] = lu.solve(x[order])
+        assert np.array_equal(factor.solve(x), y)
+        assert factor.nnz == lu.nnz
+        assert factor.count() == (lu.U.diagonal() < 0.0).sum()
 
     def test_off_diagonal_pivot_raises(self):
         # a zero diagonal with no nonzero-diagonal neighbour to fill it
@@ -608,8 +645,9 @@ class TestWindowedDrivers:
         assert not any("converged only" in n for r in runs for n in r.notes)
         assert rep.inverse_applications <= 300
 
-    def test_pencil_built_once(self, materials, monkeypatch):
-        # every run of a window shares the system's reduced pencil
+    def test_basis_built_once(self, materials, monkeypatch):
+        # every run and factor of a system shares its basis W, and no
+        # reduced matrix W^T A W or W^T B W stays on the system
         mesh = msh.build_cavity_mesh(msh.omega2(), 2)
         sys_ = build_block_system(mesh, "taylor-hood",
                                   replace(materials, nu=0.49))
@@ -628,10 +666,12 @@ class TestWindowedDrivers:
         monkeypatch.setattr(assembly, "nullspace_basis", counted_basis)
         monkeypatch.setattr(study, "solve_pencil", counted_solve)
         solve_window(sys_, (400.0, 2800.0))
-        assert len(rungs) == 1
+        solve_window(sys_, (150.0, 400.0))
+        assert len(rungs) == 2
         assert len(builds) == 1 and builds[0] is sys_
-        assert sys_.pencil is sys_.pencil
-        assert len(builds) == 1
+        sparse = {name for name, value in vars(sys_).items()
+                  if sp.issparse(value)}
+        assert sparse == {"A", "B", "C", "basis"}
 
 
 class TestSpectrumCsv:

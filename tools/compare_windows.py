@@ -16,9 +16,12 @@ stored entries (nnz) of A, B and C summed over its systems, which are
 reported only.  Each system's mesh is hashed (SHA-256 of
 ``MESH_ARRAYS``): one line per system says whether the two trees built
 the same mesh bit for bit, and the summary counts the equal meshes,
-also reported only.  The exit status is 1 when a count differs, a
-window fails on one side only, a kappa differs by more than 1e-9
-relative, or the trees differ on a flag.
+also reported only.  Each tree's peak RSS, the ``ru_maxrss`` of its
+sweep process in MB (1024 KiB), is reported only too: it spreads by
+tens of MB over repeated runs of one tree, so a memory claim rests on
+the benchmark's ``peak_rss_mb``.  The exit status is 1 when a count
+differs, a window fails on one side only, a kappa differs by more than
+1e-9 relative, or the trees differ on a flag.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import hashlib
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -65,8 +69,9 @@ def mesh_digest(mesh):
 
 def solve_sweep():
     """Solve every window of the sweep with the package on sys.path: the
-    nnz of each system's matrices, each system's mesh digest, and one
-    JSON record per window in sweep order."""
+    nnz of each system's matrices, each system's mesh digest, one JSON
+    record per window in sweep order, and the peak RSS of the process in
+    MB."""
     import elastoacoustic as ea
 
     nnz, meshes, out = dict.fromkeys(MATRICES, 0), [], []
@@ -87,7 +92,9 @@ def solve_sweep():
             out.append({"kappas": [p.kappa for p in pairs],
                         "count": rep.window_count,
                         **{k: getattr(rep, k) for k in WORK + FLAGS}})
-    return {"nnz": nnz, "meshes": meshes, "windows": out}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"nnz": nnz, "meshes": meshes, "windows": out,
+            "peak_rss_mb": peak}
 
 
 def run_tree(tree, script=__file__):
@@ -107,6 +114,7 @@ def compare(old, new):
     """Printed lines and the exit status of the comparison of two sweep
     results."""
     old_nnz, new_nnz = old["nnz"], new["nnz"]
+    old_rss, new_rss = old["peak_rss_mb"], new["peak_rss_mb"]
     meshes_equal = [a == b for a, b in zip(old["meshes"], new["meshes"])]
     old, new = old["windows"], new["windows"]
     lines, worst, counts_equal, mismatched = [], 0.0, True, 0
@@ -152,6 +160,8 @@ def compare(old, new):
     lines.append("nnz over the sweep systems: " + ", ".join(
         f"{k} {old_nnz[k]} -> {new_nnz[k]}" for k in MATRICES))
     lines.append(f"meshes equal {sum(meshes_equal)}/{len(meshes_equal)}")
+    lines.append(f"peak RSS of the sweep process: {old_rss:.2f} -> "
+                 f"{new_rss:.2f} MB")
     ok = (counts_equal and flags_equal and not mismatched
           and worst <= KAPPA_TOL)
     return lines, 0 if ok else 1
