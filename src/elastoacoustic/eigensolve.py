@@ -9,32 +9,48 @@ The reduced matrices are not kept on the system: each factor forms
 W^T A W - sigma W^T B W and drops the parts before it factors, and each
 run forms W^T B W (and W^T A W on the dense path) and drops it when it
 returns, so no copy of the pencil sits beside a factor and its inertia
-count.  Shift-invert maps each eigenvalue
-kappa to 1/(kappa - sigma), so the modes just above sigma are the
-largest algebraically; everything below sigma, the kappa = 0 kernel
-included, stays out of the Krylov space.  This one-sided run is the only
-Lanczos solve: ``study.solve_window`` climbs a window with it from the
-window's lower end.  Each shift is factored once (``ShiftFactor``), and
-the factor serves twice, as in spectrum slicing (Grimes, Lewis & Simon,
-SIAM J. Matrix Anal. Appl. 15, 1994): its inverse drives the runs at the
-shift, and its negative pivots count the eigenvalues below the shift by
-Sylvester's law of inertia (``count_below`` makes a factor for a count
-alone).  The shifted operator W^T (A - sigma B) W is symmetric in pattern
-and value, so it is factored as a pivot-free LDL^T in SuperLU's
-symmetric mode with a diagonal pivot threshold of 0 (minimum degree on
-A^T + A; X. S. Li, ACM TOMS 31, 2005), which has less than half the fill
-of the default unsymmetric ordering.  At nu = 1/2 the pressure diagonal
-is exactly zero, so each zero-diagonal dof is ordered just after its
-last neighbour, where its pivot has filled in.  A shift whose
+count.  Shift-invert maps each eigenvalue kappa to theta =
+1/(kappa - sigma), so the modes just above sigma are the largest theta;
+everything below sigma, the kappa = 0 kernel included, stays out of the
+wanted end.  This one-sided run is the only Lanczos solve:
+``study.solve_window`` climbs a window with it from the window's lower
+end.
+
+The run is a Lanczos process in numpy in the W^T B W inner product,
+with full reorthogonalization (two passes of classical Gram-Schmidt),
+started from the inverse applied to B v0, which leaves out the infinite
+eigenvalues of the singular pressure block.  It stops as soon as each of
+the wanted theta has a Ritz estimate |beta s_last| <= LANCZOS_TOL
+|theta|.  For k pairs on n unknowns its basis holds at most
+min(n - 1, max(min(max(2 k + 1, 24), 220), k + 8)) vectors; when it is
+full the run restarts thickly (Wu & Simon, SIAM J. Matrix Anal. Appl.
+22, 2000), locking the converged wanted pairs and keeping the others
+with the next largest.  Each vector returned is the inverse applied to
+B times its Ritz vector, over theta, which purges what roundoff puts
+into the null space of B (Ericsson & Ruhe, Math. Comp. 35, 1980).
+
+Each shift is factored once (``ShiftFactor``), and the factor serves
+twice, as in spectrum slicing (Grimes, Lewis & Simon, SIAM J. Matrix
+Anal. Appl. 15, 1994): its inverse drives the runs at the shift, and its
+negative pivots count the eigenvalues below the shift by Sylvester's law
+of inertia (``count_below`` makes a factor for a count alone).  The
+shifted operator W^T (A - sigma B) W is symmetric in pattern and value,
+so it is factored as a pivot-free LDL^T in SuperLU's symmetric mode with
+a diagonal pivot threshold of 0 (X. S. Li, ACM TOMS 31, 2005).  The
+first factor of a system orders it by minimum degree on A^T + A, which
+has less than half the fill of the default unsymmetric ordering; at
+nu = 1/2 the pressure diagonal is exactly zero, so each zero-diagonal
+dof is ordered just after its last neighbour, where its pivot has filled
+in.  Every later factor is made in that ordering.  A shift whose
 factorization fails (sigma an eigenvalue) or still pivots off the
 diagonal raises EigenSolveError.  Systems too small for a Krylov run
-take the same spectral transformation densely (Ericsson & Ruhe, Math.
-Comp. 35, 1980): with B = E E^T, the eigenvalues theta of the symmetric
-E^T (A - sigma B)^{-1} E, from a Bunch-Kaufman solve, are
-1/(kappa - sigma), so eigenvalues near sigma are accurate at every nu,
-and the singular pressure block at nu = 1/2 needs no special case: its
-infinite eigenvalues are theta = 0.  On an SVD null-space basis of C in
-place of the elimination, that dense path is the brute-force oracle.
+take the same spectral transformation densely (Ericsson & Ruhe): with
+B = E E^T, the eigenvalues theta of the symmetric E^T (A - sigma B)^{-1}
+E, from a Bunch-Kaufman solve, are 1/(kappa - sigma), so eigenvalues
+near sigma are accurate at every nu, and the singular pressure block at
+nu = 1/2 needs no special case: its infinite eigenvalues are theta = 0.
+On an SVD null-space basis of C in place of the elimination, that dense
+path is the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +67,7 @@ from .assembly import (ORACLE_CAP, BlockSystem, equilibration,
 
 DEFAULT_SEED = 20260808
 KERNEL_TOL = 1e-8          # filter_modes' threshold (see there)
+LANCZOS_TOL = 1e-11        # a converged theta's Ritz estimate, relative
 
 
 class EigenSolveError(Exception):
@@ -179,16 +196,17 @@ class ShiftFactor:
     shift-invert runs at sigma and the inertia count there.
 
     The operator is factored in SuperLU's symmetric mode with a diagonal
-    pivot threshold of 0 on a minimum degree ordering.  Where the
-    diagonal has exact zeros (the pressure block at nu = 1/2) that
-    factorization pivots off the diagonal, so each zero-diagonal dof is
-    moved to just after its last neighbour in the ordering, where
-    eliminating the neighbours has filled its pivot, and the operator is
-    factored again in that order.  That ordering depends on the pattern
-    alone, so only the first factor of a system makes the minimum degree
-    factorization, and later ones reuse its ordering.  A factorization
-    that fails (sigma an eigenvalue) or still pivots off the diagonal
-    raises EigenSolveError.  ``work`` (a dict) receives the
+    pivot threshold of 0.  The first factor of a system makes the
+    ordering: a minimum degree factorization, whose ordering is kept with
+    each zero-diagonal dof (the pressure block at nu = 1/2) moved to just
+    after its last neighbour, where eliminating the neighbours has filled
+    its pivot.  Without such dofs that factorization is the factor; with
+    them it pivots off the diagonal, and the operator is factored again.
+    The ordering depends on the pattern alone, so every later factor of
+    the system is made in its natural order on the operator permuted into
+    it (``BlockSystem.count_orders``, keyed by the zero-diagonal set).  A
+    factorization that fails (sigma an eigenvalue) or still pivots off
+    the diagonal raises EigenSolveError.  ``work`` (a dict) receives the
     factorizations made under the key "factorizations".
     """
 
@@ -199,14 +217,22 @@ class ShiftFactor:
         del A, B
         M.eliminate_zeros()
         zero = M.diagonal() == 0.0
-        self.order = None
-        if zero.any():
-            self.order = _pivot_free_order(system, M, zero, self.sigma,
-                                           work)
+        key = zero.tobytes()
+        self.order = system.count_orders.get(key)
+        if self.order is None:
+            lu = _ldl(M, "MMD_AT_PLUS_A", self.sigma, work)
+            system.count_orders[key] = _delay_zero_diagonal(
+                M, np.argsort(lu.perm_c), zero)
+            if zero.any():
+                # that factor pivots off the diagonal: drop it before
+                # factoring again
+                self.order = system.count_orders[key]
+                del lu
+            else:
+                self.lu = lu
+        if self.order is not None:
             M = M[self.order][:, self.order].tocsc()
             self.lu = _ldl(M, "NATURAL", self.sigma, work)
-        else:
-            self.lu = _ldl(M, "MMD_AT_PLUS_A", self.sigma, work)
         del M
         if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
             raise EigenSolveError(f"pivot-free factorization at shift "
@@ -241,19 +267,6 @@ def count_below(system: BlockSystem, sigma: float, work=None) -> int:
     return ShiftFactor(system, sigma, work).count()
 
 
-def _pivot_free_order(system, M, zero, sigma, work):
-    """The minimum degree ordering of M with each zero-diagonal dof
-    delayed, made on the first factor of the system and kept in
-    ``BlockSystem.count_orders`` under the zero-diagonal set: both depend
-    on the pattern of M alone, which every shift shares."""
-    key = zero.tobytes()
-    if key not in system.count_orders:
-        lu = _ldl(M, "MMD_AT_PLUS_A", sigma, work)
-        system.count_orders[key] = _delay_zero_diagonal(
-            M, np.argsort(lu.perm_c), zero)
-    return system.count_orders[key]
-
-
 def _ldl(M, permc_spec, sigma, work):
     """Symmetric-mode LU of M preferring every diagonal pivot; with
     perm_r == perm_c it is an LDL^T with D = diag(U)."""
@@ -277,25 +290,21 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
     """The ``n_modes`` eigenpairs just above the shift, ascending in
     kappa.
 
-    A Krylov space is iterated on the inverse of the shifted reduced
-    operator applied to W^T B W (deterministic seeded start vector, full
-    reorthogonalization, ARPACK's tolerance 0, i.e. machine precision).
-    The inverse is ``factor``, a ``ShiftFactor`` at sigma the caller
-    holds; without one the shift is factored for this run alone.
-    Shift-invert maps each eigenvalue kappa to 1/(kappa - sigma), so the
-    modes above sigma are its largest algebraically (ARPACK's "LA"),
-    Krylov dimension min(n - 1, max(2 n_modes + 1, n_modes + 8, 24), 220)
-    but at least n_modes + 8, and everything below sigma, the kappa = 0
-    kernel included, is on the side ARPACK discards.  A shift whose
-    operator cannot be factored raises EigenSolveError naming it, as does
-    a failed ARPACK run.  A system too small for that Krylov space takes
-    the dense spectral transformation at sigma (``_dense_shifted``) and
-    its ``n_modes`` largest positive theta, the eigenvalues just above
-    sigma (``dense_fallback``); a run that stops with fewer converged
-    pairs than asked for returns those (``partial``).
-    Eigenvectors are x = W y in the system's own unknowns.  The report
-    counts the factorizations the solve made, the factor fill and the
-    inverse applications.
+    A thick-restart Lanczos run (``_lanczos``) on the inverse of the
+    shifted reduced operator applied to W^T B W finds them as the largest
+    theta = 1/(kappa - sigma), so everything below sigma, the kappa = 0
+    kernel included, is on the side the run discards.  The inverse is
+    ``factor``, a ``ShiftFactor`` at sigma the caller holds; without one
+    the shift is factored for this run alone.  A shift whose operator
+    cannot be factored, or whose inverse is not finite, raises
+    EigenSolveError naming it.  A system too small for the run's Krylov
+    space takes the dense spectral transformation at sigma
+    (``_dense_shifted``) and its ``n_modes`` largest positive theta, the
+    eigenvalues just above sigma (``dense_fallback``); a run that stops
+    with fewer converged pairs than asked for returns those
+    (``partial``).  Eigenvectors are x = W y in the system's own
+    unknowns.  The report counts the factorizations the solve made, the
+    factor fill and the inverse applications.
     """
     if n_modes < 1:
         raise EigenSolveError("n_modes must be >= 1")
@@ -309,48 +318,120 @@ def solve_pencil(system: BlockSystem, sigma: float, n_modes: int = 6,
                                      system.reduce(system.B).toarray(),
                                      sigma)
         take = np.flatnonzero(theta > 0.0)[::-1][:n_modes]
-        kappas, vecs = sigma + 1.0 / theta[take], vecs[:, take]
+        theta, vecs = theta[take], vecs[:, take]
     else:
         if factor is None:
             factor = ShiftFactor(system, sigma, work)
-        try:
-            kappas, vecs = _arpack(system.reduce(system.B), factor,
-                                   n_modes, seed, work)
-        except spla.ArpackNoConvergence as err:
-            kappas, vecs = err.eigenvalues, err.eigenvectors
-            notes.append(f"arpack converged only {len(kappas)}/{n_modes} "
+        theta, vecs = _lanczos(system.reduce(system.B), factor, n_modes,
+                               seed, work)
+        if len(theta) < n_modes:
+            notes.append(f"lanczos converged only {len(theta)}/{n_modes} "
                          "pairs")
             partial = True
-        except spla.ArpackError as err:
-            raise EigenSolveError(f"arpack failed: {err}") from err
-
+    kappas = sigma + 1.0 / theta
     pairs = tuple(_make_pair(system, float(kappas[k]), W @ vecs[:, k])
                   for k in np.argsort(kappas, kind="stable"))
     return SpectrumReport(n_modes, pairs, float(sigma), notes=tuple(notes),
                           dense_fallback=dense, partial=partial, **work)
 
 
-def _arpack(B, factor, n_modes, seed, work):
-    """ARPACK shift-invert solve on ``factor`` with the inner product of
-    the reduced B; ``work`` receives the report's counts."""
+def _lanczos(B, factor, n_modes, seed, work):
+    """The converged ones of the ``n_modes`` largest positive theta of
+    the inverse of ``factor`` applied to B, and their vectors, one per
+    column; ``work`` receives the report's counts.
+
+    The run starts from the inverse applied to B v0, v0 a seeded normal
+    vector, which leaves out the infinite eigenvalues of a singular B,
+    and B-orthogonalizes every new vector against the whole basis twice
+    (CGS2).  It stops once each wanted theta has a Ritz estimate
+    |beta s_last| <= LANCZOS_TOL theta.  The basis holds at most
+    ``_krylov_dim`` vectors; when it is full, the run restarts thickly
+    (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000): the converged
+    wanted Ritz vectors are locked, stay in the basis as vectors the run
+    B-orthogonalizes against and leave the projected matrix, and the
+    unconverged wanted ones, with the next largest up to half the free
+    room, start it again.  A run stops short, returning what has
+    converged, once it has applied the inverse as often as B has rows or
+    its Krylov space is invariant.
+    """
     n = B.shape[0]
+    cap = _krylov_dim(n, n_modes)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    ncv = min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
     work["lu_nnz"] = factor.nnz
     work["inverse_applications"] = 0
 
-    def inverse(x):
-        work["inverse_applications"] += 1
-        return factor.solve(x)
+    def b_norm(x):
+        Bx = B @ x
+        beta = float(np.sqrt(max(x @ Bx, 0.0)))
+        if not np.isfinite(beta):
+            raise EigenSolveError(f"shift-invert run at shift "
+                                  f"{factor.sigma:.6e}: the inverse is not "
+                                  "finite")
+        return Bx, beta
 
-    op = spla.LinearOperator((n, n), matvec=inverse)
-    # ARPACK's shift-invert mode applies only the inverse and B: eigsh
-    # reads its first argument (A) for the shape and dtype alone, so the
-    # reduced A need not be formed
-    return spla.eigsh(B, k=n_modes, M=B, sigma=factor.sigma, which="LA",
-                      v0=v0, ncv=ncv, tol=0.0, OPinv=op,
-                      maxiter=max(400, 40 * n_modes))
+    # basis rows, their B products, the inverse applied to their B
+    # products and the projected matrix on the rows not locked; only the
+    # rows in use are touched
+    V, BV, U = np.empty((cap, n)), np.empty((cap, n)), np.empty((cap, n))
+    T = np.zeros((cap, cap))
+    thetas, vecs = [], []        # the locked pairs
+    work["inverse_applications"] += 1
+    f = factor.solve(B @ rng.standard_normal(n))
+    Bf, beta = b_norm(f)
+    j = 0
+    while True:
+        lock = len(thetas)
+        V[j], BV[j] = f / beta, Bf / beta
+        work["inverse_applications"] += 1
+        U[j] = factor.solve(BV[j])
+        f = U[j].copy()
+        # B-orthogonalize against every row, twice; the coefficients on
+        # the locked rows are converged residuals
+        c = BV[:j + 1] @ f
+        f -= c @ V[:j + 1]
+        c2 = BV[:j + 1] @ f
+        f -= c2 @ V[:j + 1]
+        T[lock:j + 1, j] = T[j, lock:j + 1] = (c + c2)[lock:]
+        Bf, beta = b_norm(f)
+        j += 1
+        theta, S = np.linalg.eigh(T[lock:j, lock:j])
+        # wanted: the largest positive theta, the eigenvalues above sigma
+        top = np.arange(len(theta))[::-1]
+        wanted = top[theta[top] > 0.0][:n_modes - lock]
+        done = beta * np.abs(S[-1, wanted]) <= LANCZOS_TOL * theta[wanted]
+        new = wanted[done]
+        # an invariant Krylov space (beta at roundoff) holds no more pairs
+        stop = (len(new) == n_modes - lock
+                or work["inverse_applications"] >= n
+                or beta <= j * np.finfo(float).eps * np.abs(theta).max())
+        if not stop and j < cap:
+            continue
+        # lock the converged wanted pairs.  Each vector returned is the
+        # inverse applied to B y, over theta, for its Ritz vector y (the
+        # purification of Ericsson & Ruhe): a combination of the rows of
+        # U, it leaves out what roundoff puts into the rows of V in the
+        # null space of B, which the B inner product does not see
+        thetas.extend(theta[new])
+        vecs.extend(S[:, new].T @ U[lock:j] / theta[new, None])
+        if stop:
+            break
+        # restart from the locked rows, the unconverged wanted Ritz
+        # vectors and the next largest, up to half the free room
+        rest = top[~np.isin(top, new)]
+        keep = np.concatenate(
+            [new, rest[:n_modes - lock - len(new) + (cap - n_modes) // 2]])
+        V[lock:lock + len(keep)] = S[:, keep].T @ V[lock:j]
+        BV[lock:lock + len(keep)] = S[:, keep].T @ BV[lock:j]
+        U[lock:lock + len(keep)] = S[:, keep].T @ U[lock:j]
+        j = lock + len(keep)
+        T[lock:, lock:] = 0.0
+        T[range(lock, j), range(lock, j)] = theta[keep]
+    return np.array(thetas), np.array(vecs).reshape(len(vecs), n).T
+
+
+def _krylov_dim(n, n_modes):
+    """The largest basis of a run for ``n_modes`` pairs on n unknowns."""
+    return min(n - 1, max(min(max(2 * n_modes + 1, 24), 220), n_modes + 8))
 
 
 def _delay_zero_diagonal(M, order, zero):

@@ -130,19 +130,87 @@ class TestSolvePencil:
         rep = solve_pencil(sys_, sigma=1.5, n_modes=1)
         assert_allclose(rep.kappas, [2.0], rtol=1e-12)
 
-    def test_arpack_failure_raises(self, omega1_n1, materials,
-                                   monkeypatch):
-        # a failed Krylov run raises at any size, within the dense
-        # oracle's too; the dense path serves only systems too small for
-        # the run
-        def fails(*args, **kw):
-            raise eigensolve.spla.ArpackError(-9999)
-
-        monkeypatch.setattr(eigensolve.spla, "eigsh", fails)
+    def test_non_finite_inverse_raises(self, omega1_n1, materials):
+        # a factor whose solve returns NaN stops the run at once, within
+        # the dense oracle's size too; the dense path serves only systems
+        # too small for the run
         sys_ = build_block_system(omega1_n1, "taylor-hood", materials)
         assert sys_.n <= assembly.ORACLE_CAP
-        with pytest.raises(EigenSolveError, match="arpack failed"):
-            solve_pencil(sys_, sigma=400.0 ** 2, n_modes=2)
+        factor = eigensolve.ShiftFactor(sys_, 400.0 ** 2)
+        factor.solve = lambda x: np.full_like(x, np.nan)
+        with pytest.raises(EigenSolveError,
+                           match="shift 1.600000e\\+05: the inverse is "
+                                 "not finite"):
+            solve_pencil(sys_, sigma=400.0 ** 2, n_modes=2, factor=factor)
+
+    def test_unconverged_run_is_partial(self, omega1_n1, materials):
+        # an inverse with relative errors of 1e-3 keeps every Ritz
+        # estimate far above the tolerance: the run stops once it has
+        # applied the inverse as often as the reduced pencil has
+        # unknowns and returns what converged, flagged partial
+        sys_ = build_block_system(omega1_n1, "taylor-hood", materials)
+        factor = eigensolve.ShiftFactor(sys_, 400.0 ** 2)
+        exact, noise = factor.solve, np.random.default_rng(3)
+        factor.solve = lambda x: exact(x) * (
+            1.0 + 1e-3 * noise.standard_normal(len(x)))
+        rep = solve_pencil(sys_, sigma=400.0 ** 2, n_modes=4, factor=factor)
+        assert rep.partial and not rep.dense_fallback
+        assert len(rep.pairs) < 4
+        assert rep.notes == (f"lanczos converged only {len(rep.pairs)}/4 "
+                             "pairs",)
+        assert rep.inverse_applications == sys_.basis.shape[1]
+
+    def test_invariant_krylov_space_stops_the_run(self):
+        # a B of rank 3 leaves 3 finite eigenvalues: the Krylov space is
+        # invariant after 3 steps, and a run asking for 4 pairs returns
+        # those 3, flagged partial
+        n = 100
+        b = np.zeros(n)
+        b[[10, 40, 70]] = 1.0
+        sys_ = BlockSystem.from_matrices(np.diag(np.arange(1.0, n + 1.0)),
+                                         np.diag(b))
+        rep = solve_pencil(sys_, sigma=0.5, n_modes=4)
+        assert rep.partial and not rep.dense_fallback
+        assert_allclose(rep.kappas, [11.0, 41.0, 71.0], rtol=1e-12)
+        assert rep.inverse_applications == 4
+
+    def test_window_run_inverse_applications(self, coupled_system_th):
+        # the first window of the benchmark ladder: one run of at most 30
+        # inverse applications
+        pairs, rep = solve_window(coupled_system_th, (400.0, 2800.0))
+        assert len(pairs) == 4 and rep.rungs == 1
+        assert rep.inverse_applications <= 30
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    @pytest.mark.parametrize("nu", [0.35, 0.5])
+    def test_pairs_match_oracle_at_every_nu(self, omega1_n1, materials,
+                                            family, nu):
+        sys_ = build_block_system(omega1_n1, family,
+                                  replace(materials, nu=nu))
+        sigma = 400.0 ** 2
+        oracle = dense_oracle(sys_, sigma)
+        rep = solve_pencil(sys_, sigma=sigma, n_modes=6)
+        assert not rep.dense_fallback and not rep.partial
+        assert_allclose(rep.kappas, oracle[oracle > sigma][:6], rtol=1e-10)
+        assert max(p.residual for p in rep.pairs) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["mini", "taylor-hood"])
+    @pytest.mark.parametrize("nu", [0.35, 0.5])
+    def test_restarted_run_matches_oracle(self, omega1_n1, materials,
+                                          family, nu):
+        # 40 pairs from the lower end of a wide window take more inverse
+        # applications than the basis holds, so the run restarts, and
+        # its pairs are still the oracle's
+        sys_ = build_block_system(omega1_n1, family,
+                                  replace(materials, nu=nu))
+        sigma, k = 150.0 ** 2, 40
+        oracle = dense_oracle(sys_, sigma)
+        rep = solve_pencil(sys_, sigma=sigma, n_modes=k)
+        assert rep.inverse_applications > \
+            eigensolve._krylov_dim(sys_.basis.shape[1], k)
+        assert len(rep.pairs) == k and not rep.partial
+        assert_allclose(rep.kappas, oracle[oracle > sigma][:k], rtol=1e-9)
+        assert max(p.residual for p in rep.pairs) <= 1e-9
 
     def test_failed_factorization_raises(self):
         # sigma exactly on an eigenvalue makes the shifted operator
@@ -277,6 +345,38 @@ class TestInertiaCount:
         for spec, perm_r, perm_c in factored:
             pivot_free = np.array_equal(perm_r, perm_c)
             assert pivot_free == (spec == "NATURAL")
+
+    def test_later_factors_reuse_the_first_ordering(self, omega1_n2,
+                                                     materials, monkeypatch):
+        # at nu < 1/2 the first factor of a system is its minimum degree
+        # factorization; every later one is made in natural order on the
+        # operator permuted into that ordering, with the count and the
+        # fill of a minimum degree factorization at its own shift
+        def system():
+            return build_block_system(omega1_n2, "taylor-hood", materials)
+
+        sys_ = system()
+        factored = []
+        splu = eigensolve.spla.splu
+
+        def recorded(M, **kw):
+            factored.append(kw["permc_spec"])
+            return splu(M, **kw)
+
+        monkeypatch.setattr(eigensolve.spla, "splu", recorded)
+        sigmas = (150.0 ** 2, 400.0 ** 2, 2800.0 ** 2)
+        factors = [eigensolve.ShiftFactor(sys_, sigma) for sigma in sigmas]
+        assert factored == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 2
+        assert factors[0].order is None
+        assert all(f.order is factors[1].order for f in factors[1:])
+        x = np.random.default_rng(7).standard_normal(sys_.basis.shape[1])
+        for sigma, factor in zip(sigmas[1:], factors[1:]):
+            alone = eigensolve.ShiftFactor(system(), sigma)
+            assert alone.order is None
+            assert factor.count() == alone.count()
+            assert factor.nnz == alone.nnz
+            assert_allclose(factor.solve(x), alone.solve(x), rtol=1e-9,
+                            atol=1e-9 * np.abs(alone.solve(x)).max())
 
     @pytest.mark.parametrize("nu", [0.35, 0.5])
     def test_factor_matches_explicit_operator(self, omega1_n2, materials,
@@ -461,7 +561,8 @@ class TestWindowedDrivers:
         def nothing_converges(system, sigma, n_modes, **kw):
             calls.append((sigma, n_modes))
             return SpectrumReport(n_modes, (), sigma,
-                                  notes=("arpack converged only 0 pairs",))
+                                  notes=("lanczos converged only 0/4 pairs",),
+                                  partial=True)
 
         monkeypatch.setattr(study, "solve_pencil", nothing_converges)
         with pytest.raises(StudyError, match="adds no pair .* 0 of 4 found"):
@@ -507,8 +608,8 @@ class TestWindowedDrivers:
             rep = solve_pencil(*args, **kw)
             runs.append(kw["sigma"])
             if len(runs) == 1:
-                rep = replace(rep, pairs=rep.pairs[:1], notes=(
-                    f"arpack converged only 1/{kw['n_modes']} pairs",))
+                rep = replace(rep, pairs=rep.pairs[:1], partial=True, notes=(
+                    f"lanczos converged only 1/{kw['n_modes']} pairs",))
             return rep
 
         monkeypatch.setattr(study, "solve_pencil", partial_first)
@@ -628,7 +729,7 @@ class TestWindowedDrivers:
                                         monkeypatch, family, nu):
         # a run at the window's lower end, with the kappa ~ 0 kernel and
         # sloshing cluster just below it, converges fully in a bounded
-        # number of inverse applications (139-158 on these windows)
+        # number of inverse applications (147-164 on these windows)
         sys_ = build_block_system(omega1_n2, family,
                                   replace(materials, nu=nu))
         runs = []

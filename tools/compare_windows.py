@@ -13,15 +13,17 @@ and runs, and their dense_fallback and partial flags; the summary gives
 the largest relative difference of the in-window kappa, whether every
 count agrees, the work and the flags summed over the sweep, and the
 stored entries (nnz) of A, B and C summed over its systems, which are
-reported only.  Each system's mesh is hashed (SHA-256 of
-``MESH_ARRAYS``): one line per system says whether the two trees built
-the same mesh bit for bit, and the summary counts the equal meshes,
-also reported only.  Each tree's peak RSS, the ``ru_maxrss`` of its
-sweep process in MB (1024 KiB), is reported only too: it spreads by
-tens of MB over repeated runs of one tree, so a memory claim rests on
-the benchmark's ``peak_rss_mb``.  The exit status is 1 when a count
-differs, a window fails on one side only, a kappa differs by more than
-1e-9 relative, or the trees differ on a flag.
+reported only, as is each tree's largest accepted residual over the
+sweep (``SpectrumReport.max_residual``) with the window it comes from.
+Each system's mesh is hashed (SHA-256 of ``MESH_ARRAYS``): one line per
+system says whether the two trees built the same mesh bit for bit, and
+the summary counts the equal meshes, also reported only.  Each tree's
+peak RSS, the ``ru_maxrss`` of its sweep process in MB (1024 KiB), is
+reported only too: it spreads by tens of MB over repeated runs of one
+tree, so a memory claim rests on the benchmark's ``peak_rss_mb``.  The
+exit status is 1 when a count differs, a window fails on one side only,
+a kappa differs by more than 1e-9 relative, or the trees differ on a
+flag.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def solve_sweep():
                 continue
             out.append({"kappas": [p.kappa for p in pairs],
                         "count": rep.window_count,
+                        "max_residual": rep.max_residual,
                         **{k: getattr(rep, k) for k in WORK + FLAGS}})
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"nnz": nnz, "meshes": meshes, "windows": out,
@@ -119,6 +122,7 @@ def compare(old, new):
     old, new = old["windows"], new["windows"]
     lines, worst, counts_equal, mismatched = [], 0.0, True, 0
     flags_equal = True
+    residuals = {"old": (0.0, None), "new": (0.0, None)}
     totals = {side: dict.fromkeys(WORK + FLAGS, 0)
               for side in ("old", "new")}
     for i, (case, a, b) in enumerate(zip(sweep(), old, new)):
@@ -128,6 +132,10 @@ def compare(old, new):
             same = meshes_equal[i // len(WINDOWS)]
             lines.append(f"{system}  mesh {'equal' if same else 'differs'}")
         label = f"{system} ({w_lo:g}, {w_hi:g})"
+        for side, rec in (("old", a), ("new", b)):
+            res = rec.get("max_residual")
+            if res is not None and res > residuals[side][0]:
+                residuals[side] = (res, label)
         if "error" in a or "error" in b:
             both = "error" in a and "error" in b
             mismatched += not both
@@ -157,6 +165,8 @@ def compare(old, new):
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in WORK))
     lines.append("windows flagged over the sweep: " + ", ".join(
         f"{k} {totals['old'][k]} -> {totals['new'][k]}" for k in FLAGS))
+    lines.append("largest accepted residual over the sweep: " + " -> ".join(
+        f"{res:.3e} ({where})" for res, where in residuals.values()))
     lines.append("nnz over the sweep systems: " + ", ".join(
         f"{k} {old_nnz[k]} -> {new_nnz[k]}" for k in MATRICES))
     lines.append(f"meshes equal {sum(meshes_equal)}/{len(meshes_equal)}")
